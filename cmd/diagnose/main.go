@@ -1,12 +1,10 @@
-// Command diagnose runs tester-side cause-effect diagnosis with a compiled
-// dictionary produced by `sdd -save-dict`, or with a published dictionary
-// artifact produced by `sdd -publish` (the format is auto-detected): it
-// reduces an observed response file to a signature and prints the matching
-// fault candidates.
+// Command diagnose runs tester-side cause-effect diagnosis with a published
+// dictionary artifact produced by `sdd -publish`: it reduces an observed
+// response file to a signature and prints the matching fault candidates.
 //
 // Usage:
 //
-//	diagnose -dict s208.sdd -responses observed.txt [-top 5]
+//	diagnose -dict s208.sdda -responses observed.txt [-top 5]
 //
 // The responses file holds one output vector (0/1 string, one bit per
 // circuit output) per test, in test order — exactly what automatic test
@@ -25,9 +23,7 @@ import (
 	"os"
 
 	"sddict/internal/cli"
-	"sddict/internal/core"
 	"sddict/internal/dictio"
-	"sddict/internal/faultfs"
 )
 
 func main() {
@@ -44,7 +40,7 @@ func (errNoMatch) Error() string {
 
 func run(ctx context.Context) error {
 	var (
-		dictPath = flag.String("dict", "", "compiled dictionary (sdd -save-dict) or published artifact (sdd -publish)")
+		dictPath = flag.String("dict", "", "published dictionary artifact (sdd -publish)")
 		respPath = flag.String("responses", "", "observed responses, one 0/1 output vector per test")
 		topK     = flag.Int("top", 0, "when no exact match, rank the N nearest fault candidates instead of failing (0 = off)")
 	)
@@ -53,10 +49,13 @@ func run(ctx context.Context) error {
 		return cli.Usagef("need -dict and -responses")
 	}
 
-	dict, names, err := loadDictionary(*dictPath)
+	art, err := dictio.Load(*dictPath)
 	if err != nil {
 		return err
 	}
+	fmt.Printf("artifact: %s circuit, %s tests, checksum %08x\n",
+		art.Header.Circuit, art.Header.TestSet, art.Checksum)
+	dict, names := art.Dict, art.Header.Faults
 	fmt.Printf("dictionary: %s, %d faults, %d tests, %d outputs, %d payload bits\n",
 		dict.Kind, len(dict.Rows), dict.NumTests, dict.Outputs, dict.SizeBits())
 
@@ -101,37 +100,8 @@ func run(ctx context.Context) error {
 	return nil
 }
 
-// loadDictionary opens either dictionary container: a published artifact
-// (sniffed by magic, CRC-verified, carrying the fault-class table) or a
-// bare compiled dictionary (no names).
-func loadDictionary(path string) (*core.Compiled, []string, error) {
-	isArtifact, err := dictio.SniffFile(faultfs.OS, path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if isArtifact {
-		art, err := dictio.Load(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		fmt.Printf("artifact: %s circuit, %s tests, checksum %08x\n",
-			art.Header.Circuit, art.Header.TestSet, art.Checksum)
-		return art.Dict, art.Header.Faults, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	dict, err := core.ReadCompiled(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dict, nil, nil
-}
-
 // nameSuffix formats fault i's name from the artifact's fault-class
-// table, or "" for bare compiled dictionaries.
+// table, or "" if the table has no entry for it.
 func nameSuffix(names []string, i int) string {
 	if i < 0 || i >= len(names) {
 		return ""

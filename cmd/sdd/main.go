@@ -14,7 +14,7 @@
 //	$ sdd -circuit s344 -tests 10det
 //
 // Ctrl-C during dictionary construction does not discard the run: the
-// best-so-far dictionary is reported (and saved with -save-dict) before
+// best-so-far dictionary is reported (and published with -publish) before
 // the command exits with code 130. With -checkpoint the restart state is
 // persisted so a later identical invocation resumes the search.
 //
@@ -55,7 +55,6 @@ func run(ctx context.Context) error {
 		seed      = flag.Int64("seed", 1, "master random seed")
 		effort    = flag.Float64("effort", 0, "search effort in (0,1]; 0 = auto-scale")
 		list      = flag.Bool("list", false, "list available circuit profiles and exit")
-		saveDict  = flag.String("save-dict", "", "write the compiled same/different dictionary to this file")
 		publish   = flag.String("publish", "", "write a versioned, checksummed dictionary artifact (cmd/sddserve input) to this file")
 		inject    = flag.Int("inject", -1, "inject the i-th collapsed fault as a defect (with -dump-responses)")
 		dumpResp  = flag.String("dump-responses", "", "write the observed responses of the injected defect (cmd/diagnose input)")
@@ -187,23 +186,6 @@ func run(ctx context.Context) error {
 			*inject, defect.Name(pr.Circuit), len(obs), *dumpResp)
 	}
 
-	if *saveDict != "" {
-		compiled, err := sd.Compile()
-		if err != nil {
-			return err
-		}
-		var n int64
-		err = core.AtomicWriteFile(*saveDict, func(w io.Writer) error {
-			var werr error
-			n, werr = compiled.WriteTo(w)
-			return werr
-		})
-		if err != nil {
-			return fmt.Errorf("writing %s: %w", *saveDict, err)
-		}
-		fmt.Printf("compiled same/different dictionary written to %s (%s bytes on disk, %s payload bits)\n",
-			*saveDict, report.Comma(n), report.Comma(compiled.SizeBits()))
-	}
 	if *publish != "" {
 		compiled, err := sd.Compile()
 		if err != nil {

@@ -9,7 +9,10 @@
 // The taint analysis is intra-procedural and lexical: a variable
 // assigned from a source is tainted; arithmetic propagates taint; a
 // comparison mentioning the variable (an explicit bound check) or a
-// constant mask/mod clears it. Cross-package flow rides the facts
+// constant mask/mod clears it. Two comparisons do not count: a sign
+// check against a constant ≤ 0, which bounds nothing from above, and a
+// comparison on a product that can overflow its type, which a hostile
+// pair of factors wraps past the bound. Cross-package flow rides the facts
 // layer: a function returning a tainted value exports an UntrustedFact,
 // and its call sites treat that result as a source.
 package boundedalloc
@@ -220,7 +223,8 @@ func (w *walker) lhsObj(e ast.Expr) types.Object {
 
 // sanitize clears the taint of every variable that appears in a
 // comparison inside e — the developer compared it against something, so
-// it is considered bounded from here on.
+// it is considered bounded from here on. Sign checks and products that
+// can overflow are not bounds (see boundsNothing and mayOverflow).
 func (w *walker) sanitize(e ast.Expr) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		be, ok := n.(*ast.BinaryExpr)
@@ -229,8 +233,14 @@ func (w *walker) sanitize(e ast.Expr) {
 		}
 		switch be.Op {
 		case token.LSS, token.GTR, token.LEQ, token.GEQ, token.EQL, token.NEQ:
+			if w.boundsNothing(be.X) || w.boundsNothing(be.Y) {
+				return true
+			}
 			for _, side := range []ast.Expr{be.X, be.Y} {
 				ast.Inspect(side, func(m ast.Node) bool {
+					if p, ok := m.(*ast.BinaryExpr); ok && w.mayOverflow(p) {
+						return false
+					}
 					if id, ok := m.(*ast.Ident); ok {
 						if obj := w.pass.TypesInfo.Uses[id]; obj != nil {
 							delete(w.taint, obj)
@@ -242,6 +252,92 @@ func (w *walker) sanitize(e ast.Expr) {
 		}
 		return true
 	})
+}
+
+// boundsNothing reports whether a comparison against e is a sign or zero
+// check: e is a constant ≤ 0, so no side of the comparison is bounded
+// from above.
+func (w *walker) boundsNothing(e ast.Expr) bool {
+	tv, ok := w.pass.TypesInfo.Types[e]
+	if !ok || tv.Value == nil {
+		return false
+	}
+	v := constant.ToInt(tv.Value)
+	return v.Kind() == constant.Int && constant.Sign(v) <= 0
+}
+
+// mayOverflow reports whether be is a product or left shift whose value
+// can exceed its type: the magnitude bits of its operands (magBits) sum
+// past the bits the result type holds.
+func (w *walker) mayOverflow(be *ast.BinaryExpr) bool {
+	if be.Op != token.MUL && be.Op != token.SHL {
+		return false
+	}
+	if isConst(w.pass, be) {
+		return false
+	}
+	y := w.magBits(be.Y)
+	if be.Op == token.SHL {
+		tv, ok := w.pass.TypesInfo.Types[be.Y]
+		if !ok || tv.Value == nil {
+			return true
+		}
+		n, _ := constant.Int64Val(constant.ToInt(tv.Value))
+		y = int(n)
+	}
+	return w.magBits(be.X)+y > w.typeBits(w.pass.TypesInfo.TypeOf(be))
+}
+
+// magBits bounds the number of magnitude bits e can carry: a constant's
+// bit length, a conversion's operand narrowed to the target type, the
+// sum for a product, or else the width of e's type.
+func (w *walker) magBits(e ast.Expr) int {
+	e = ast.Unparen(e)
+	if tv, ok := w.pass.TypesInfo.Types[e]; ok && tv.Value != nil {
+		v := constant.ToInt(tv.Value)
+		if v.Kind() != constant.Int {
+			return 64
+		}
+		if constant.Sign(v) < 0 {
+			v = constant.UnaryOp(token.SUB, v, 0)
+		}
+		return constant.BitLen(v)
+	}
+	limit := w.typeBits(w.pass.TypesInfo.TypeOf(e))
+	switch e := e.(type) {
+	case *ast.CallExpr:
+		if tv, ok := w.pass.TypesInfo.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
+			return min(w.magBits(e.Args[0]), limit)
+		}
+	case *ast.BinaryExpr:
+		if e.Op == token.MUL {
+			return min(w.magBits(e.X)+w.magBits(e.Y), limit)
+		}
+	}
+	return limit
+}
+
+// typeBits is the number of magnitude bits an integer type holds: its
+// width, less the sign bit for signed types. int and uint count as 64
+// bits; non-integer types as 64.
+func (w *walker) typeBits(t types.Type) int {
+	b, ok := t.Underlying().(*types.Basic)
+	if !ok || b.Info()&types.IsInteger == 0 {
+		return 64
+	}
+	width := 64
+	switch b.Kind() {
+	case types.Int8, types.Uint8:
+		width = 8
+	case types.Int16, types.Uint16:
+		width = 16
+	case types.Int32, types.Uint32:
+		width = 32
+	}
+	if b.Info()&types.IsUnsigned == 0 {
+		width--
+	}
+	return width
 }
 
 // checkSinks reports every allocation inside n whose size argument is
@@ -460,4 +556,3 @@ func exportFacts(pass *analysis.Pass) {
 		}
 	}
 }
-

@@ -92,3 +92,43 @@ func reassigned(s string) []byte {
 	n = 16
 	return make([]byte, n)
 }
+
+// The dimension guard of an old dictionary reader: a sign check bounds
+// nothing, and the int64 product of two decoded uint32 dimensions can
+// wrap negative, so a hostile pair passes the guard. Not a bound.
+func overflowingProductGuard(hdr []byte) ([][]uint64, error) {
+	nFaults, k, m := int(binary.LittleEndian.Uint32(hdr)), int(binary.LittleEndian.Uint32(hdr[4:])), int(binary.LittleEndian.Uint32(hdr[8:]))
+	if nFaults < 0 || k <= 0 || m <= 0 ||
+		int64(nFaults)*int64(k) > limit || int64(k)*int64(m) > limit {
+		return nil, errTooBig
+	}
+	return make([][]uint64, nFaults), nil // want "make sized by `nFaults` from binary.Uint32 without a bound check"
+}
+
+// The fixed guard caps each factor before forming the product: clean.
+func cappedProductGuard(hdr []byte) ([][]uint64, error) {
+	nFaults, k := binary.LittleEndian.Uint32(hdr), binary.LittleEndian.Uint32(hdr[4:])
+	if k == 0 || nFaults > limit || k > limit || uint64(nFaults)*uint64(k) > limit {
+		return nil, errTooBig
+	}
+	return make([][]uint64, nFaults), nil
+}
+
+// A uint64 product of two uint32 values cannot wrap, so comparing it is
+// still a bound check.
+func widenedProductGuard(hdr []byte) []uint64 {
+	n, k := binary.LittleEndian.Uint32(hdr), binary.LittleEndian.Uint32(hdr[4:])
+	if uint64(n)*uint64(k) > limit {
+		return nil
+	}
+	return make([]uint64, n)
+}
+
+// A zero check alone bounds nothing.
+func zeroCheckOnly(s string) []byte {
+	n, _ := strconv.Atoi(s)
+	if n == 0 {
+		return nil
+	}
+	return make([]byte, n) // want "make sized by `n` from strconv.Atoi without a bound check"
+}

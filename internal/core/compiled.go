@@ -189,7 +189,80 @@ func (c *Compiled) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
+// compiledHeaderBytes is the size of WriteTo's fixed header: magic,
+// version, kind, faults, tests, outputs and the extra-baseline flag, one
+// uint32 each.
+const compiledHeaderBytes = 7 * 4
+
+// compiledDims are the dimensions of a validated WriteTo header.
+type compiledDims struct {
+	kind                   Kind
+	faults, tests, outputs int
+	extra                  bool
+}
+
+// parseCompiledHeader validates WriteTo's fixed header. Every check runs
+// on the raw uint32 words: the kind word is compared whole (converting it
+// to Kind first would truncate 0x13247a01 to PassFail), and each
+// dimension is capped before any product is formed, so the products are
+// computed in uint64 without wrapping.
+func parseCompiledHeader(hdr [7]uint32) (compiledDims, error) {
+	if hdr[0] != compiledMagic {
+		return compiledDims{}, errors.New("core: not a compiled dictionary (bad magic)")
+	}
+	if hdr[1] != compiledVersion {
+		return compiledDims{}, fmt.Errorf("core: unsupported version %d", hdr[1])
+	}
+	if hdr[2] != uint32(PassFail) && hdr[2] != uint32(SameDiff) {
+		return compiledDims{}, fmt.Errorf("core: invalid dictionary kind %#x", hdr[2])
+	}
+	if hdr[6] > 1 {
+		return compiledDims{}, fmt.Errorf("core: invalid extra-baseline flag %d", hdr[6])
+	}
+	const limit = 1 << 28 // sanity bound against corrupt headers
+	nFaults, k, m := uint64(hdr[3]), uint64(hdr[4]), uint64(hdr[5])
+	if k == 0 || m == 0 || nFaults > limit || k > limit || m > limit ||
+		nFaults*k > limit || k*m > limit {
+		return compiledDims{}, errors.New("core: implausible dimensions in header")
+	}
+	return compiledDims{kind: Kind(hdr[2]), faults: int(nFaults), tests: int(k), outputs: int(m), extra: hdr[6] == 1}, nil
+}
+
+// rowBits is the width of one signature row.
+func (d compiledDims) rowBits() int {
+	if d.extra {
+		return 2 * d.tests
+	}
+	return d.tests
+}
+
+// CompiledSize returns the exact length in bytes of the WriteTo encoding
+// whose header b starts with, or an error if the header is short or
+// invalid. A caller holding the whole encoding checks its length against
+// this before ReadCompiled allocates anything.
+func CompiledSize(b []byte) (int64, error) {
+	if len(b) < compiledHeaderBytes {
+		return 0, fmt.Errorf("core: %d bytes, too short for a header", len(b))
+	}
+	var hdr [7]uint32
+	for i := range hdr {
+		hdr[i] = binary.LittleEndian.Uint32(b[4*i:])
+	}
+	d, err := parseCompiledHeader(hdr)
+	if err != nil {
+		return 0, err
+	}
+	vecs := 2 // fault-free and baseline vectors per test
+	if d.extra {
+		vecs = 3
+	}
+	words := d.faults*logic.WordsFor(d.rowBits()) + vecs*d.tests*logic.WordsFor(d.outputs)
+	return compiledHeaderBytes + 8*int64(words), nil
+}
+
 // ReadCompiled deserializes a compiled dictionary written by WriteTo.
+// Memory grows with the bytes actually read, so a header that overstates
+// the payload fails at end of input instead of allocating its claim.
 func ReadCompiled(r io.Reader) (*Compiled, error) {
 	br := bufio.NewReader(r)
 	var hdr [7]uint32
@@ -198,42 +271,25 @@ func ReadCompiled(r io.Reader) (*Compiled, error) {
 			return nil, fmt.Errorf("core: reading header: %w", err)
 		}
 	}
-	if hdr[0] != compiledMagic {
-		return nil, errors.New("core: not a compiled dictionary (bad magic)")
+	d, err := parseCompiledHeader(hdr)
+	if err != nil {
+		return nil, err
 	}
-	if hdr[1] != compiledVersion {
-		return nil, fmt.Errorf("core: unsupported version %d", hdr[1])
-	}
-	kind := Kind(hdr[2])
-	if kind != PassFail && kind != SameDiff {
-		return nil, fmt.Errorf("core: invalid dictionary kind %d", hdr[2])
-	}
-	nFaults, k, m := int(hdr[3]), int(hdr[4]), int(hdr[5])
-	hasExtra := hdr[6] == 1
-	const limit = 1 << 28 // sanity bound against corrupt headers
-	if nFaults < 0 || k <= 0 || m <= 0 ||
-		int64(nFaults)*int64(k) > limit || int64(k)*int64(m) > limit {
-		return nil, errors.New("core: implausible dimensions in header")
-	}
-	c := &Compiled{Kind: kind, NumTests: k, Outputs: m}
-	rowBits := k
-	if hasExtra {
-		rowBits = 2 * k
-	}
+	c := &Compiled{Kind: d.kind, NumTests: d.tests, Outputs: d.outputs}
 	readVecs := func(count, bits int) ([]logic.BitVec, error) {
-		vecs := make([]logic.BitVec, count)
+		vecs := make([]logic.BitVec, 0, min(count, 1024))
 		words := logic.WordsFor(bits)
-		for i := range vecs {
+		for len(vecs) < count {
 			v := make(logic.BitVec, words)
 			if err := binary.Read(br, binary.LittleEndian, []uint64(v)); err != nil {
 				return nil, err
 			}
-			vecs[i] = v
+			vecs = append(vecs, v)
 		}
 		return vecs, nil
 	}
-	var err error
-	if c.Rows, err = readVecs(nFaults, rowBits); err != nil {
+	k, m := d.tests, d.outputs
+	if c.Rows, err = readVecs(d.faults, d.rowBits()); err != nil {
 		return nil, fmt.Errorf("core: reading rows: %w", err)
 	}
 	if c.FaultFree, err = readVecs(k, m); err != nil {
@@ -242,7 +298,7 @@ func ReadCompiled(r io.Reader) (*Compiled, error) {
 	if c.Baseline, err = readVecs(k, m); err != nil {
 		return nil, fmt.Errorf("core: reading baselines: %w", err)
 	}
-	if hasExtra {
+	if d.extra {
 		if c.ExtraBaseline, err = readVecs(k, m); err != nil {
 			return nil, fmt.Errorf("core: reading extra baselines: %w", err)
 		}

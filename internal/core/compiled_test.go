@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sddict/internal/logic"
@@ -100,6 +102,9 @@ func TestCompiledRoundTrip(t *testing.T) {
 		if _, err := c.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
+		if n, err := CompiledSize(buf.Bytes()); err != nil || n != int64(buf.Len()) {
+			t.Fatalf("trial %d: CompiledSize = %d, %v; encoding has %d bytes", trial, n, err, buf.Len())
+		}
 		got, err := ReadCompiled(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
@@ -135,6 +140,56 @@ func TestReadCompiledRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadCompiled(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
+	}
+}
+
+// allocationBomb is a 28-byte WriteTo header found by fuzzing. Its kind
+// word 0x13247a01 truncates to PassFail as a uint8, and its dimensions
+// 0xc0de6e7d faults × 0xe4847e71 tests overflow an int64 product to a
+// negative number, so a reader that trusts it asks for a 78 GB row table
+// before reading a single row.
+var allocationBomb = []byte{
+	0x43, 0x44, 0x44, 0x53, 0x01, 0x00, 0x00, 0x00, 0x01, 0x7a, 0x24, 0x13,
+	0x7d, 0x6e, 0xde, 0xc0, 0x71, 0x7e, 0x84, 0xe4, 0x17, 0xfd, 0xd6, 0xc3,
+	0x65, 0x89, 0x3c, 0x21,
+}
+
+// TestReadCompiledRejectsAllocationBomb feeds the fuzzer's header, and the
+// same dimensions under a valid kind word so the dimension guard is
+// reached too. Both must fail cleanly, in ReadCompiled and CompiledSize.
+func TestReadCompiledRejectsAllocationBomb(t *testing.T) {
+	validKind := append([]byte(nil), allocationBomb...)
+	binary.LittleEndian.PutUint32(validKind[8:], uint32(PassFail))
+	for name, hdr := range map[string][]byte{"fuzzed": allocationBomb, "valid kind": validKind} {
+		if _, err := ReadCompiled(bytes.NewReader(hdr)); err == nil {
+			t.Errorf("%s: ReadCompiled accepted the header", name)
+		}
+		if _, err := CompiledSize(hdr); err == nil {
+			t.Errorf("%s: CompiledSize accepted the header", name)
+		}
+	}
+}
+
+// TestReadCompiledGrowsWithInput: a plausible header that overstates its
+// rows must fail at end of input having allocated about what it read, not
+// what it claimed (2^28 rows would be a 6 GB row table).
+func TestReadCompiledGrowsWithInput(t *testing.T) {
+	hdr := make([]byte, 0, compiledHeaderBytes+64)
+	for _, w := range []uint32{compiledMagic, compiledVersion, uint32(PassFail), 1 << 28, 1, 1, 0} {
+		hdr = binary.LittleEndian.AppendUint32(hdr, w)
+	}
+	hdr = append(hdr, make([]byte, 64)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadCompiled(bytes.NewReader(hdr)); err == nil {
+		t.Fatal("truncated payload accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("ReadCompiled allocated %d bytes for a %d-byte input", grew, len(hdr))
+	}
+	if n, err := CompiledSize(hdr); err != nil || n <= int64(len(hdr)) {
+		t.Fatalf("CompiledSize = %d, %v; want a size beyond the %d-byte input", n, err, len(hdr))
 	}
 }
 

@@ -147,7 +147,6 @@ func BuildSameDiffMultiCtx(ctx context.Context, m *resp.Matrix, opt Options) (*D
 // baselines remain a valid selection.
 func procedure1Multi(ctx context.Context, m *resp.Matrix, order []int, lower int, evals, cutoffs *int64) ([]int32, []int32, int64, bool) {
 	p := NewPartition(m.N)
-	p.enablePacked()
 	b1 := make([]int32, m.K)
 	b2 := make([]int32, m.K)
 	var scratch distScratch

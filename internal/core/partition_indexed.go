@@ -6,85 +6,25 @@ import (
 	"sddict/internal/resp"
 )
 
-// This file is the detected-fault-index side of the scan engine
-// (DESIGN.md §14). The packed class bitmaps give every test a second
-// derived view: the list of its detected faults grouped by response
-// class. One walk of that list yields each group's detected-member count,
-// from which class 0 — the bulk of each test's faults — scores by
-// complement (c₀ = s − detected-in-group), while the nonzero classes are
-// scored lazily from their own segments as the LOWER scan reaches them.
-// That makes the dist scan O(detected + evals) per test, independent of
-// how many faults are still live, which is the dominant regime of a
-// restart: most tests detect a few percent of the faults while most
-// faults still sit in live groups. All three scan paths (member scan,
-// popcount scan, index scan) compute the exact per-group class counts, so
-// dist is bit-identical and the path choice never perturbs the LOWER
-// cutoff or any artifact.
-
-// packedIdleDrop is the number of consecutive tests the popcount path
-// must lose the cost race before the bitmap arena is dropped. Once the
-// partition shatters into many small groups the popcount scan never wins
-// again, and dropping the arena stops splits from paying its upkeep. The
-// counter is a pure function of deterministic partition state, so the
-// drop point is identical on every run and worker count.
-const packedIdleDrop = 4
+// This file is Procedure 1's scan engine (DESIGN.md §14). Every test
+// carries a detected-fault index: the list of its detected faults grouped
+// by response class. One walk of that list yields each group's
+// detected-member count, from which class 0 — the bulk of each test's
+// faults — scores by complement (c₀ = s − detected-in-group), while the
+// nonzero classes are scored lazily from their own segments as the LOWER
+// scan reaches them. That makes the dist scan O(detected + evals) per
+// test, independent of how many faults are still live. It computes the
+// exact per-group class counts, so dist is bit-identical to the member
+// scan (perClass + selectWithLower), which the tests keep as its oracle.
 
 // scanAndRefine runs one step of Procedure 1 on test j: pick the baseline
-// under the LOWER cutoff and refine the partition by it. Per test it
-// takes whichever scan path the cost model says is cheapest for the
-// current group structure — all paths produce bit-identical dist values,
-// so cand_evals, the cutoff points, and the selected baselines match the
-// reference member scan exactly.
+// under the LOWER cutoff and refine the partition by it.
 func (sc *distScratch) scanAndRefine(p *Partition, m *resp.Matrix, j, lower int, evals, cutoffs *int64) int32 {
-	numClasses := m.NumClasses(j)
 	p.compactLabs()
-	pc := m.PackedClasses(j)
-	det := pc.DetectedList()
-
-	// The member scan pays live work twice (perClass count plus the
-	// refinement re-count) and zeroes a full dist array, so the index path
-	// wins well past the point where the detected list outgrows the live
-	// count. The choice is a pure function of deterministic state, and
-	// both paths give bit-identical dist.
-	indexed := len(det) < 8*p.live
-	cost := p.live + numClasses
-	if indexed {
-		cost = len(det)/8 + numClasses
-	}
-	usePacked := false
-	if p.packed != nil {
-		// The popcount scan costs roughly (expected evals under the
-		// cutoff) × (groups + nonzero words); it wins while the partition
-		// is a few large groups.
-		est := numClasses
-		if lower > 0 && lower+1 < est {
-			est = lower + 1
-		}
-		usePacked = est*(p.groups+p.packed.nnz) < cost
-		if usePacked {
-			p.packedIdle = 0
-		} else {
-			p.packedIdle++
-			if p.packedIdle >= packedIdleDrop {
-				p.packed = nil
-			}
-		}
-	}
-	switch {
-	case usePacked:
-		best, cnt, split := sc.selectPacked(p, pc, numClasses, lower, evals, cutoffs)
-		p.refineByCounts(pc.Class(best), cnt, split)
-		return best
-	case indexed:
-		best := sc.selectIndexed(p, pc, numClasses, lower, evals, cutoffs)
-		sc.refineIndexed(p, pc, best)
-		return best
-	default:
-		dist := sc.perClass(p, m.Class[j], numClasses)
-		best := selectWithLower(dist, lower, evals, cutoffs)
-		p.RefineByBaseline(m.Class[j], best)
-		return best
-	}
+	ci := m.ClassIndex(j)
+	best := sc.selectIndexed(p, ci, m.NumClasses(j), lower, evals, cutoffs)
+	sc.refineIndexed(p, ci, m.Class[j], best)
+	return best
 }
 
 // ensureIndexBufs sizes the per-label counters to the partition's label
@@ -106,7 +46,7 @@ func (sc *distScratch) ensureIndexBufs(p *Partition) {
 // complement counts, and each nonzero class scores from its own index
 // segment only when the scan reaches it — classes past the cutoff are
 // never grouped at all.
-func (sc *distScratch) selectIndexed(p *Partition, pc resp.PackedClasses, numClasses, lower int, evals, cutoffs *int64) int32 {
+func (sc *distScratch) selectIndexed(p *Partition, ci resp.ClassIndex, numClasses, lower int, evals, cutoffs *int64) int32 {
 	sc.ensureIndexBufs(p)
 	lab, size := p.lab, p.size
 	dcnt, dtouch := sc.dcnt, sc.dtouch[:0]
@@ -115,7 +55,7 @@ func (sc *distScratch) selectIndexed(p *Partition, pc resp.PackedClasses, numCla
 	// delta of s−2c−1. The telescoped sum is exactly Σ (s−dl)·dl — integer
 	// arithmetic, so bit-identical to the two-pass computation.
 	var d0 int64
-	for _, f := range pc.DetectedList() {
+	for _, f := range ci.DetectedList() {
 		l := lab[f]
 		if l < 0 {
 			continue
@@ -139,7 +79,7 @@ scan:
 		if z == 0 {
 			d = d0
 		} else {
-			for _, f := range pc.ClassList(int32(z)) {
+			for _, f := range ci.ClassList(int32(z)) {
 				l := lab[f]
 				if l < 0 {
 					continue
@@ -176,10 +116,12 @@ scan:
 // only matching members instead of whole spans: each matching member is
 // swapped (via the pos index) to its side of the span, then finishSplit
 // applies the label rules per split group in ascending label order —
-// reproducing the reference numbering. Groups the baseline does not split
-// cost nothing beyond their count check. Finishes by resetting the
+// reproducing the reference numbering. When the split groups' spans are
+// shorter than the index segment, it walks those spans against the class
+// row (splitByClass) instead. Groups the baseline does not split cost
+// nothing beyond their count check. Finishes by resetting the
 // phase-1 counters, restoring the scratch invariant.
-func (sc *distScratch) refineIndexed(p *Partition, pc resp.PackedClasses, best int32) {
+func (sc *distScratch) refineIndexed(p *Partition, ci resp.ClassIndex, class []int32, best int32) {
 	lab := p.lab
 	members, pos := p.members, p.pos
 	dcnt, zcnt := sc.dcnt, sc.zcnt
@@ -202,24 +144,23 @@ func (sc *distScratch) refineIndexed(p *Partition, pc resp.PackedClasses, best i
 			wl = append(wl, l)
 		}
 		slices.Sort(wl)
-		if spanTotal < len(pc.DetectedList()) {
-			// Walking the split spans with bit probes into the class-0
-			// bitmap is cheaper than re-walking the full detected list.
-			// Both orderings produce the same member sets per side, and
-			// member order within a span is free (DESIGN.md §14), so the
-			// per-test choice affects cost only.
-			bm := pc.Class(0)
+		if spanTotal < len(ci.DetectedList()) {
+			// Walking the split spans against the class row is cheaper
+			// than re-walking the full detected list. Both orderings
+			// produce the same member sets per side, and member order
+			// within a span is free (DESIGN.md §14), so the per-test
+			// choice affects cost only.
 			for _, l := range wl {
 				c := zcnt[l]
 				zcnt[l] = 0
-				p.splitByBitmap(l, c, bm)
+				p.splitByClass(l, c, class, 0)
 			}
 			wl = wl[:0]
 		} else {
 			// Move pass: dcnt counts down so slot spanLo+dcnt−1 fills the
 			// front of the span and the counter self-resets to zero.
 			spanLo := p.spanLo
-			for _, f := range pc.DetectedList() {
+			for _, f := range ci.DetectedList() {
 				l := lab[f]
 				if l < 0 || dcnt[l] == 0 {
 					continue
@@ -238,7 +179,7 @@ func (sc *distScratch) refineIndexed(p *Partition, pc resp.PackedClasses, best i
 			}
 		}
 	} else {
-		seg := pc.ClassList(best)
+		seg := ci.ClassList(best)
 		for _, f := range seg {
 			l := lab[f]
 			if l < 0 {
@@ -268,11 +209,10 @@ func (sc *distScratch) refineIndexed(p *Partition, pc resp.PackedClasses, best i
 		wl = wl[:w]
 		slices.Sort(wl)
 		if spanTotal < len(seg) {
-			bm := pc.Class(best)
 			for _, l := range wl {
 				c := dcnt[l]
 				zcnt[l] = 0
-				p.splitByBitmap(l, c, bm)
+				p.splitByClass(l, c, class, best)
 			}
 			wl = wl[:0]
 		} else {

@@ -3,14 +3,17 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"sddict/internal/resp"
 )
 
-// Property tests pinning the maintained partition engine — member scan,
-// detected-index scan, and packed popcount scan — to the scalar reference
-// implementations in partition_ref.go. The contract under test is the one
-// DESIGN.md §14 relies on: every path produces bit-identical labels,
-// removed-pair counts, dist values, and LOWER counter movements, so the
-// per-test path choice can never perturb an artifact.
+// Property tests pinning the maintained partition engine — Procedure 1's
+// detected-index scan and the member scan Procedures 2 and minimization
+// still use — to the scalar reference implementations in partition_ref.go.
+// The contract under test is the one DESIGN.md §14 relies on: the index
+// scan produces bit-identical labels, removed-pair counts, dist values,
+// and LOWER counter movements to the member scan and the reference, so
+// switching Procedure 1 to it perturbs no artifact.
 
 // cloneLabels snapshots a partition as the bare label array the reference
 // implementations operate on.
@@ -22,27 +25,44 @@ func cloneLabels(p *Partition) []int32 {
 	return lab
 }
 
-// TestEngineMatchesReference drives the full scanAndRefine engine (packed
-// arena enabled, so the cost model exercises all three paths as the
-// partition shatters) against the scalar reference on random matrices:
-// the selected baselines, the labels after every refinement, the pair
-// counts, and the LOWER eval/cutoff counters must all match exactly.
+// denseStep reports whether test j's step on p falls in the regime where
+// the detected list is at least eight times the live-fault count — the
+// steps a member scan over live faults would beat the index walk, which
+// is where s641/10det runs the index scan on its late tests.
+func denseStep(p *Partition, m *resp.Matrix, j int) bool {
+	return p.live > 0 && len(m.ClassIndex(j).DetectedList()) >= 8*p.live
+}
+
+// TestEngineMatchesReference drives the full scanAndRefine engine against
+// the scalar reference on random matrices as the partition shatters: the
+// selected baselines, the labels after every refinement, the pair counts,
+// and the LOWER eval/cutoff counters must all match exactly. It also
+// requires a minimum number of dense steps (denseStep), so the index scan
+// stays tested where few faults are live but many are detected.
 func TestEngineMatchesReference(t *testing.T) {
+	const minDense = 150 // 222 at this seed
 	r := rand.New(rand.NewSource(23))
+	dense := 0
 	for trial := 0; trial < 120; trial++ {
 		n := 2 + r.Intn(40)
 		k := 3 + r.Intn(8)
 		m := randomMatrix(r, n, k, 6)
+		if trial%2 == 1 {
+			n, k = 16+r.Intn(32), 16+r.Intn(16)
+			m = twinMatrix(r, n, k, 6, 1+r.Intn(2))
+		}
 		lower := r.Intn(3) // 0 disables the cutoff; 1–2 exercise it
 		refLab := make([]int32, n)
 		refNext := int32(1)
 		engine := NewPartition(n)
-		engine.enablePacked()
 		var sc distScratch
 		var evalsRef, cutRef, evalsEng, cutEng int64
 		for j := 0; j < k; j++ {
 			if engine.Done() {
 				break
+			}
+			if denseStep(engine, m, j) {
+				dense++
 			}
 			numClasses := m.NumClasses(j)
 			distRef := refPerClass(refLab, refNext, m.Class[j], numClasses)
@@ -67,27 +87,50 @@ func TestEngineMatchesReference(t *testing.T) {
 				trial, evalsEng, cutEng, evalsRef, cutRef)
 		}
 	}
+	t.Logf("dense steps: %d", dense)
+	if dense < minDense {
+		t.Fatalf("only %d dense steps (detected ≥ 8·live), want at least %d", dense, minDense)
+	}
 }
 
-// TestScanPathsAgree forces each scan path in turn on the same starting
-// partition — bypassing the cost model — and requires identical baseline
-// choices, LOWER counters, labels, and pair counts from all three.
+// TestScanPathsAgree runs the index scan and the member scan on the same
+// starting partition and requires identical baseline choices, LOWER
+// counters, labels, and pair counts. The starting partitions are refined
+// by a random prefix of tests, and a minimum number of probes must be
+// dense steps (denseStep).
 func TestScanPathsAgree(t *testing.T) {
+	const minDense = 15 // 24 at this seed
 	r := rand.New(rand.NewSource(29))
+	dense := 0
 	for trial := 0; trial < 150; trial++ {
 		n := 2 + r.Intn(40)
 		k := 2 + r.Intn(6)
 		m := randomMatrix(r, n, k, 6)
+		twins := trial%2 == 1
+		if twins {
+			n, k = 16+r.Intn(32), 16+r.Intn(16)
+			m = twinMatrix(r, n, k, 6, 1+r.Intn(2))
+		}
 		lower := r.Intn(3)
 		base := NewPartition(n)
+		var scb distScratch
+		var evalsB, cutB int64
 		for j := 0; j < k-1; j++ {
-			if r.Intn(2) == 1 {
+			switch {
+			case twins:
+				// Shatter the prefix the way Procedure 1 does.
+				base.compactLabs()
+				dist := scb.perClass(base, m.Class[j], m.NumClasses(j))
+				base.RefineByBaseline(m.Class[j], selectWithLower(dist, 0, &evalsB, &cutB))
+			case r.Intn(2) == 1:
 				base.RefineByBaseline(m.Class[j], int32(r.Intn(m.NumClasses(j))))
 			}
 		}
 		j := k - 1
 		numClasses := m.NumClasses(j)
-		pc := m.PackedClasses(j)
+		if denseStep(base, m, j) {
+			dense++
+		}
 
 		pm := base.Clone()
 		var scm distScratch
@@ -100,35 +143,27 @@ func TestScanPathsAgree(t *testing.T) {
 		pi := base.Clone()
 		var sci distScratch
 		var evalsI, cutI int64
-		pi.compactLabs()
-		bestI := sci.selectIndexed(pi, pc, numClasses, lower, &evalsI, &cutI)
-		sci.refineIndexed(pi, pc, bestI)
+		bestI := sci.scanAndRefine(pi, m, j, lower, &evalsI, &cutI)
 
-		pp := base.Clone()
-		pp.enablePacked()
-		var scp distScratch
-		var evalsP, cutP int64
-		pp.compactLabs()
-		bestP, cnt, split := scp.selectPacked(pp, pc, numClasses, lower, &evalsP, &cutP)
-		pp.refineByCounts(pc.Class(bestP), cnt, split)
-
-		if bestI != bestM || bestP != bestM {
-			t.Fatalf("trial %d: member chose %d, indexed %d, packed %d", trial, bestM, bestI, bestP)
+		if bestI != bestM {
+			t.Fatalf("trial %d: member chose %d, indexed %d", trial, bestM, bestI)
 		}
-		if evalsI != evalsM || evalsP != evalsM || cutI != cutM || cutP != cutM {
-			t.Fatalf("trial %d: counter mismatch: member (%d,%d) indexed (%d,%d) packed (%d,%d)",
-				trial, evalsM, cutM, evalsI, cutI, evalsP, cutP)
+		if evalsI != evalsM || cutI != cutM {
+			t.Fatalf("trial %d: counter mismatch: member (%d,%d) indexed (%d,%d)",
+				trial, evalsM, cutM, evalsI, cutI)
 		}
 		for i := 0; i < n; i++ {
-			if pi.Label(i) != pm.Label(i) || pp.Label(i) != pm.Label(i) {
-				t.Fatalf("trial %d fault %d: member label %d, indexed %d, packed %d",
-					trial, i, pm.Label(i), pi.Label(i), pp.Label(i))
+			if pi.Label(i) != pm.Label(i) {
+				t.Fatalf("trial %d fault %d: member label %d, indexed %d", trial, i, pm.Label(i), pi.Label(i))
 			}
 		}
-		if pi.Pairs() != pm.Pairs() || pp.Pairs() != pm.Pairs() {
-			t.Fatalf("trial %d: pairs member %d, indexed %d, packed %d",
-				trial, pm.Pairs(), pi.Pairs(), pp.Pairs())
+		if pi.Pairs() != pm.Pairs() {
+			t.Fatalf("trial %d: pairs member %d, indexed %d", trial, pm.Pairs(), pi.Pairs())
 		}
+	}
+	t.Logf("dense steps: %d", dense)
+	if dense < minDense {
+		t.Fatalf("only %d dense probes (detected ≥ 8·live), want at least %d", dense, minDense)
 	}
 }
 
@@ -177,7 +212,6 @@ func TestScratchReuseAcrossTests(t *testing.T) {
 		refLab := make([]int32, n)
 		refNext := int32(1)
 		engine := NewPartition(n)
-		engine.enablePacked()
 		var evalsRef, cutRef, evalsEng, cutEng int64
 		for j := 0; j < k && !engine.Done(); j++ {
 			numClasses := m.NumClasses(j)

@@ -1,14 +1,43 @@
 package core
 
-// Reference implementations of the pre-packing scalar partition
-// operations, kept as the executable specification of the engine in
-// partition.go / partition_packed.go. They operate on a bare label array
-// (the representation of record) with none of the maintained group state,
-// exactly as the original code did. The property tests in
-// partition_test.go assert that the maintained engine — with and without
-// the packed arena — matches these on random partitions and class
-// vectors: labels, removed-pair counts, and every dist value bit for bit.
-// They are not used outside tests.
+// Reference implementations of the scalar partition operations and of
+// Procedure 1's LOWER scan, kept as the executable specification of the
+// engine in partition.go / partition_indexed.go. The partition references
+// operate on a bare label array (the representation of record) with none
+// of the maintained group state, exactly as the original code did. The
+// property tests in partition_test.go and partition_prop_test.go assert
+// that the maintained engine matches these on random partitions and class
+// vectors: labels, removed-pair counts, every dist value bit for bit, and
+// the LOWER counters. They are not used outside tests.
+
+// selectWithLower scans candidate classes in Z_j order (class id order) and
+// applies the LOWER cutoff from Procedure 1 step 3: scanning stops after
+// `lower` consecutive candidates scoring strictly below the best seen.
+// lower <= 0 scans everything. Ties keep the earliest candidate. cutoffs
+// counts scans the cutoff terminated early — a per-restart tally folded
+// into the obs.LowerCutoffHits metric, never into the search itself.
+// selectIndexed implements the same state machine over lazily computed
+// dist values; the two must stay in lockstep.
+func selectWithLower(dist []int64, lower int, evals, cutoffs *int64) int32 {
+	best := int64(-1)
+	bestIdx := int32(0)
+	consec := 0
+	for z := 0; z < len(dist); z++ {
+		*evals++
+		switch d := dist[z]; {
+		case d > best:
+			best, bestIdx = d, int32(z)
+			consec = 0
+		case d < best:
+			consec++
+			if lower > 0 && consec >= lower {
+				*cutoffs++
+				return bestIdx
+			}
+		}
+	}
+	return bestIdx
+}
 
 // refRefineByBaseline is the original RefineByBaseline: full label-array
 // passes for sizes and match counts, then per-old-label new-label tables.
@@ -75,7 +104,7 @@ func refRefineByBaseline(lab []int32, next int32, class []int32, baseline int32)
 // refPerClass is the original distScratch.perClass: rebuild the group
 // member lists from the label array, then one counting-sort pass per
 // group. dist(z) accumulates c·(s−c) per group exactly as the maintained
-// and packed paths do, so all three must agree on every value.
+// path does, so the two must agree on every value.
 func refPerClass(lab []int32, next int32, class []int32, numClasses int) []int64 {
 	dist := make([]int64, numClasses)
 	n := int(next)

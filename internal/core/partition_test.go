@@ -52,29 +52,57 @@ func (p pairSet) removeByClass(class []int32) int {
 // randomMatrix builds a random response matrix with small class counts so
 // collisions are common.
 func randomMatrix(r *rand.Rand, n, k, maxClasses int) *resp.Matrix {
-	m := &resp.Matrix{N: n, K: k, M: 4}
-	m.Class = make([][]int32, k)
-	m.Vecs = make([][]logic.BitVec, k)
-	for j := 0; j < k; j++ {
-		nc := 1 + r.Intn(maxClasses)
-		m.Class[j] = make([]int32, n)
-		used := map[int32]bool{}
-		for i := 0; i < n; i++ {
-			c := int32(r.Intn(nc))
-			m.Class[j][i] = c
-			used[c] = true
+	return denseMatrix(n, randomRows(r, n, k, maxClasses))
+}
+
+// twinMatrix is randomMatrix with the last `twins` faults each copying
+// the classes of a random earlier fault on every test but one. The twins
+// stay indistinguished while the other faults shatter, so late steps see
+// few live faults against many detected ones (denseStep).
+func twinMatrix(r *rand.Rand, n, k, maxClasses, twins int) *resp.Matrix {
+	rows := randomRows(r, n, k, maxClasses)
+	for t := 0; t < twins; t++ {
+		a, split := r.Intn(n-twins), r.Intn(k)
+		for j, row := range rows {
+			if j != split {
+				row[n-1-t] = row[a]
+			}
 		}
-		// Class ids must be dense: remap to first-occurrence order with the
-		// fault-free class 0 kept.
+	}
+	return denseMatrix(n, rows)
+}
+
+// randomRows draws k class rows over n faults, each with at most
+// maxClasses distinct raw class ids.
+func randomRows(r *rand.Rand, n, k, maxClasses int) [][]int32 {
+	rows := make([][]int32, k)
+	for j := range rows {
+		nc := 1 + r.Intn(maxClasses)
+		rows[j] = make([]int32, n)
+		for i := range rows[j] {
+			rows[j][i] = int32(r.Intn(nc))
+		}
+	}
+	return rows
+}
+
+// denseMatrix wraps raw class rows over n faults as a matrix. Class ids
+// must be dense: each row is remapped to first-occurrence order with the
+// fault-free class 0 kept, and class c gets an output vector encoding c.
+func denseMatrix(n int, rows [][]int32) *resp.Matrix {
+	k := len(rows)
+	m := &resp.Matrix{N: n, K: k, M: 4}
+	m.Class = rows
+	m.Vecs = make([][]logic.BitVec, k)
+	for j, row := range rows {
 		remap := map[int32]int32{0: 0}
 		var next int32 = 1
-		for i := 0; i < n; i++ {
-			c := m.Class[j][i]
+		for i, c := range row {
 			if _, ok := remap[c]; !ok {
 				remap[c] = next
 				next++
 			}
-			m.Class[j][i] = remap[c]
+			row[i] = remap[c]
 		}
 		m.Vecs[j] = make([]logic.BitVec, next)
 		for c := int32(0); c < next; c++ {
@@ -173,24 +201,12 @@ func TestDistPerClassMatchesBruteForce(t *testing.T) {
 				t.Fatalf("trial %d: dist(%d) = %d, want %d", trial, z, dist[z], want)
 			}
 		}
-		// The scalar reference and the packed popcount path must agree
-		// with perClass on every value, bit for bit.
-		refLab := cloneLabels(part)
-		rdist := refPerClass(refLab, part.next, m.Class[2], m.NumClasses(2))
-		pp := part.Clone()
-		pp.enablePacked()
-		pp.compactLabs()
-		pcv := m.PackedClasses(2)
-		cnt := make([]int32, pp.next)
-		var split []int32
-		for z := int32(0); z < int32(m.NumClasses(2)); z++ {
+		// The scalar reference must agree with perClass on every value,
+		// bit for bit.
+		rdist := refPerClass(cloneLabels(part), part.next, m.Class[2], m.NumClasses(2))
+		for z := range rdist {
 			if rdist[z] != dist[z] {
 				t.Fatalf("trial %d: refPerClass(%d) = %d, perClass = %d", trial, z, rdist[z], dist[z])
-			}
-			var pd int64
-			pd, split = pp.distPacked(pcv.Class(z), cnt, split)
-			if pd != dist[z] {
-				t.Fatalf("trial %d: distPacked(%d) = %d, perClass = %d", trial, z, pd, dist[z])
 			}
 		}
 	}

@@ -14,15 +14,12 @@ import (
 // keep the fault-free baseline), but the pair count then reflects only the
 // refinements applied so far.
 //
-// The partition runs with the packed popcount engine enabled: per test the
-// scan takes whichever of the bitmap-popcount, detected-index, and
-// member-scan paths is cheapest for the current group structure. All
-// produce bit-identical dist values, so the LOWER cutoff fires at the same
-// points, cand_evals counts match exactly, and the selected baselines are
-// unchanged (DESIGN.md §14).
+// Each step runs the detected-index scan (scanAndRefine), whose dist
+// values are bit-identical to the member scan's, so the LOWER cutoff,
+// cand_evals and the selected baselines match the paper's procedure
+// exactly (DESIGN.md §14).
 func procedure1(ctx context.Context, m *resp.Matrix, order []int, lower int, evals, cutoffs *int64) ([]int32, int64, bool) {
 	p := NewPartition(m.N)
-	p.enablePacked()
 	baselines := make([]int32, m.K) // unselected tests keep the fault-free baseline
 	var scratch distScratch
 	for _, j := range order {
@@ -37,35 +34,6 @@ func procedure1(ctx context.Context, m *resp.Matrix, order []int, lower int, eva
 	return baselines, p.Pairs(), true
 }
 
-// selectWithLower scans candidate classes in Z_j order (class id order) and
-// applies the LOWER cutoff from Procedure 1 step 3: scanning stops after
-// `lower` consecutive candidates scoring strictly below the best seen.
-// lower <= 0 scans everything. Ties keep the earliest candidate. cutoffs
-// counts scans the cutoff terminated early — a per-restart tally folded
-// into the obs.LowerCutoffHits metric, never into the search itself.
-// selectPacked implements the same state machine over lazily computed dist
-// values; the two must stay in lockstep.
-func selectWithLower(dist []int64, lower int, evals, cutoffs *int64) int32 {
-	best := int64(-1)
-	bestIdx := int32(0)
-	consec := 0
-	for z := 0; z < len(dist); z++ {
-		*evals++
-		switch d := dist[z]; {
-		case d > best:
-			best, bestIdx = d, int32(z)
-			consec = 0
-		case d < best:
-			consec++
-			if lower > 0 && consec >= lower {
-				*cutoffs++
-				return bestIdx
-			}
-		}
-	}
-	return bestIdx
-}
-
 // distScratch holds reusable buffers for the dist scans. Each concurrent
 // restart owns its own instance — nothing here may be shared between
 // pool tasks.
@@ -73,12 +41,6 @@ type distScratch struct {
 	cnt     []int64
 	dist    []int64
 	touched []int32
-
-	// Packed-scan double buffers (selectPacked).
-	cntLab  []int32
-	bestLab []int32
-	splitA  []int32
-	splitB  []int32
 
 	// Index-scan buffers (selectIndexed/refineIndexed). zcnt and dcnt are
 	// per-label counters kept all-zero between tests.

@@ -54,9 +54,8 @@ var (
 )
 
 const (
-	// Magic identifies an artifact file; it differs from the bare
-	// compiled-dictionary magic ("SDDC") so loaders can sniff which of
-	// the two formats a file holds.
+	// Magic identifies an artifact file; it differs from the magic
+	// ("SDDC") of the compiled-dictionary payload it wraps.
 	Magic uint32 = 0x41444453 // "SDDA" as little-endian bytes
 
 	// FormatVersion is the version this build writes and reads.
@@ -308,6 +307,14 @@ func Decode(r io.Reader) (*Artifact, error) {
 		return nil, corruptf("missing dictionary section")
 	}
 
+	// The payload's own header claims its dimensions; the payload must
+	// be exactly that long before ReadCompiled allocates for them.
+	switch n, err := core.CompiledSize(dictPayload); {
+	case err != nil:
+		return nil, fmt.Errorf("dictio: parsing dictionary payload: %w: %w", err, ErrCorruptArtifact)
+	case n != int64(len(dictPayload)):
+		return nil, corruptf("dictionary payload has %d bytes, its header describes %d", len(dictPayload), n)
+	}
 	var h Header
 	if err := json.Unmarshal(hdrPayload, &h); err != nil {
 		return nil, fmt.Errorf("dictio: parsing header (checksum passed, encoder bug?): %w: %w", err, ErrCorruptArtifact)
@@ -355,31 +362,6 @@ func LoadFS(fsys faultfs.FS, path string) (*Artifact, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return a, nil
-}
-
-// SniffFile reports whether the file at path starts with the artifact
-// magic — how cmd/diagnose tells a published artifact from a bare
-// compiled dictionary (sdd -save-dict). A file too short to carry any
-// magic number (zero-length, or truncated inside the first four bytes)
-// is neither format and can only be damage, so the verdict is a wrapped
-// ErrCorruptArtifact — not a silent "false" that would route the caller
-// into the wrong loader and surface as a raw io error, and never a
-// panic. Genuine read failures (flaky media) keep their own identity.
-func SniffFile(fsys faultfs.FS, path string) (bool, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return false, fmt.Errorf("dictio: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	var b [4]byte
-	switch _, err := io.ReadFull(f, b[:]); {
-	case err == nil:
-	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
-		return false, fmt.Errorf("%s: %w", path, corruptf("file too short to carry a magic number"))
-	default:
-		return false, fmt.Errorf("dictio: sniffing %s: %w", path, err)
-	}
-	return binary.LittleEndian.Uint32(b[:]) == Magic, nil
 }
 
 // ParseVector parses one 0/1 response line into a bit vector of exactly

@@ -3,7 +3,9 @@ package dictio_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -106,10 +108,6 @@ func TestArtifactSaveLoad(t *testing.T) {
 	}
 	if got.Checksum != a.Checksum {
 		t.Errorf("loaded checksum %#08x, published %#08x", got.Checksum, a.Checksum)
-	}
-	ok, err := dictio.SniffFile(faultfs.OS, path)
-	if err != nil || !ok {
-		t.Errorf("SniffFile = %v, %v; want true", ok, err)
 	}
 }
 
@@ -280,12 +278,11 @@ func TestLoadFSInjectedReadFault(t *testing.T) {
 	}
 }
 
-// TestSniffFileSubMagicMatrix: zero-length and 1..len(magic)-1 files
-// are too short to be either artifact format — the verdict must be a
-// wrapped ErrCorruptArtifact, never a raw io error (which would route
-// cmd/diagnose into the bare-compiled loader) and never a panic. A full
-// 4-byte prefix carrying the wrong magic is a clean "not an artifact".
-func TestSniffFileSubMagicMatrix(t *testing.T) {
+// TestLoadSubMagicMatrix: zero-length and 1..len(magic)-1 files are too
+// short to carry the magic, and a full 4-byte prefix with a foreign magic
+// is not an artifact. Every verdict must be a wrapped ErrCorruptArtifact,
+// never a raw io error and never a panic.
+func TestLoadSubMagicMatrix(t *testing.T) {
 	data := encode(t, testArtifact(t))
 	dir := t.TempDir()
 	for size := 0; size < 4; size++ {
@@ -293,36 +290,98 @@ func TestSniffFileSubMagicMatrix(t *testing.T) {
 		if err := os.WriteFile(path, data[:size], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ok, err := dictio.SniffFile(faultfs.OS, path)
-		if ok {
-			t.Fatalf("size %d: sniffed as artifact", size)
-		}
-		if !errors.Is(err, dictio.ErrCorruptArtifact) {
+		if _, err := dictio.Load(path); !errors.Is(err, dictio.ErrCorruptArtifact) {
 			t.Errorf("size %d: err = %v, want wrapped ErrCorruptArtifact", size, err)
-		}
-		// The decoder must agree on the same bytes.
-		if _, err := dictio.Decode(bytes.NewReader(data[:size])); !errors.Is(err, dictio.ErrCorruptArtifact) {
-			t.Errorf("size %d: Decode err = %v, want ErrCorruptArtifact", size, err)
 		}
 	}
 	notArtifact := filepath.Join(dir, "elf.bin")
 	if err := os.WriteFile(notArtifact, []byte{0x7f, 'E', 'L', 'F'}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := dictio.SniffFile(faultfs.OS, notArtifact); ok || err != nil {
-		t.Errorf("foreign 4-byte magic: SniffFile = %v, %v; want false, nil", ok, err)
+	if _, err := dictio.Load(notArtifact); !errors.Is(err, dictio.ErrCorruptArtifact) {
+		t.Errorf("foreign 4-byte magic: err = %v, want wrapped ErrCorruptArtifact", err)
 	}
 }
 
-// TestSniffFileMissing: a missing file keeps its os identity so callers
-// can 404 instead of claiming corruption.
-func TestSniffFileMissing(t *testing.T) {
-	_, err := dictio.SniffFile(faultfs.OS, filepath.Join(t.TempDir(), "nope.sdda"))
+// TestLoadMissing: a missing file keeps its os identity so callers can
+// 404 instead of claiming corruption.
+func TestLoadMissing(t *testing.T) {
+	_, err := dictio.Load(filepath.Join(t.TempDir(), "nope.sdda"))
 	if !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("missing file: err = %v, want os.ErrNotExist", err)
 	}
 	if errors.Is(err, dictio.ErrCorruptArtifact) {
 		t.Errorf("missing file misreported as corrupt: %v", err)
+	}
+}
+
+// craftArtifact assembles an artifact around arbitrary section payloads
+// with valid CRCs, the way a hostile publisher could.
+func craftArtifact(header, dict []byte) []byte {
+	le := binary.LittleEndian
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	out := le.AppendUint32(nil, dictio.Magic)
+	out = le.AppendUint32(out, dictio.FormatVersion)
+	out = le.AppendUint32(out, 2)
+	for id, payload := range [][]byte{header, dict} {
+		out = le.AppendUint32(out, uint32(id+1))
+		out = le.AppendUint64(out, uint64(len(payload)))
+		out = append(out, payload...)
+		out = le.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+	}
+	return out
+}
+
+// TestDecodeRejectsAllocationBomb wraps the 28-byte compiled-dictionary
+// header that fuzzing found (kind word 0x13247a01, dimensions
+// 0xc0de6e7d × 0xe4847e71) in a CRC-valid artifact, alone and under a
+// valid kind word, and with payload bytes after it. Each must be refused
+// as corrupt before anything is allocated for the claimed dimensions.
+func TestDecodeRejectsAllocationBomb(t *testing.T) {
+	bomb := []byte{
+		0x43, 0x44, 0x44, 0x53, 0x01, 0x00, 0x00, 0x00, 0x01, 0x7a, 0x24, 0x13,
+		0x7d, 0x6e, 0xde, 0xc0, 0x71, 0x7e, 0x84, 0xe4, 0x17, 0xfd, 0xd6, 0xc3,
+		0x65, 0x89, 0x3c, 0x21,
+	}
+	validKind := append([]byte(nil), bomb...)
+	binary.LittleEndian.PutUint32(validKind[8:], uint32(core.PassFail))
+	header := []byte(`{"circuit":"toy","tests":1,"outputs":1,"faults":["f"]}`)
+	for name, payload := range map[string][]byte{
+		"fuzzed":        bomb,
+		"valid kind":    validKind,
+		"with trailing": append(append([]byte(nil), validKind...), make([]byte, 104)...),
+	} {
+		_, err := dictio.Decode(bytes.NewReader(craftArtifact(header, payload)))
+		if !errors.Is(err, dictio.ErrCorruptArtifact) {
+			t.Errorf("%s: err = %v, want ErrCorruptArtifact", name, err)
+		}
+	}
+}
+
+// TestDecodeRejectsPayloadLengthMismatch: a payload whose header is valid
+// but whose length disagrees with it — one word short, or one word of
+// unread trailing bytes — is corrupt.
+func TestDecodeRejectsPayloadLengthMismatch(t *testing.T) {
+	a := testArtifact(t)
+	var dict bytes.Buffer
+	if _, err := a.Dict.WriteTo(&dict); err != nil {
+		t.Fatal(err)
+	}
+	header, err := json.Marshal(a.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dictio.Decode(bytes.NewReader(craftArtifact(header, dict.Bytes()))); err != nil {
+		t.Fatalf("crafted intact artifact: %v", err)
+	}
+	for name, payload := range map[string][]byte{
+		"short": dict.Bytes()[:dict.Len()-8],
+		"long":  append(append([]byte(nil), dict.Bytes()...), make([]byte, 8)...),
+	} {
+		_, err := dictio.Decode(bytes.NewReader(craftArtifact(header, payload)))
+		if !errors.Is(err, dictio.ErrCorruptArtifact) {
+			t.Errorf("%s payload: err = %v, want ErrCorruptArtifact", name, err)
+		}
 	}
 }
 
