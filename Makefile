@@ -63,9 +63,15 @@ bench:
 # deterministic custom metrics (cand_evals, ind_sd, restarts, ...) must
 # match the baseline exactly, which catches algorithmic drift on any
 # machine. -short drops the big circuits; their baseline rows report as
-# informational "missing" lines.
+# informational "missing" lines. The partition microbenchmarks take a few
+# microseconds per op, so a single cold iteration measures cache misses
+# rather than the scan: they run a fixed MICRO_ITERS iterations instead.
+MICRO_RE = ^Benchmark(DistPerClass|Refine)
+MICRO_ITERS = 2000
+
 bench-compare:
-	$(GO) test -run='^$$' -bench='$(BENCH_RE)' -benchtime=1x -count=1 -short -timeout=10m $(BENCH_PKGS) > bench_compare.out
+	$(GO) test -run='^$$' -bench='^BenchmarkParallel' -benchtime=1x -count=1 -short -timeout=10m . > bench_compare.out
+	$(GO) test -run='^$$' -bench='$(MICRO_RE)' -benchtime=$(MICRO_ITERS)x -count=1 -timeout=10m ./internal/core/ >> bench_compare.out
 	$(GO) run ./cmd/benchjson -o bench_compare.json bench_compare.out
 	$(GO) run ./cmd/benchjson compare -ns-ratio 8 BENCH_parallel.json bench_compare.json
 	@rm -f bench_compare.out bench_compare.json

@@ -67,6 +67,8 @@ type DiagStats struct {
 	Rounds      int
 	MiterCalls  int
 	SATCalls    int // SAT fallback invocations
+	// SATConflicts sums the conflicts those invocations spent.
+	SATConflicts int64
 	// IndistPairs is the number of fault pairs left with identical full
 	// responses under the final test set (the paper's "full" column).
 	IndistPairs int64
@@ -278,10 +280,11 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 				continue
 			}
 			stats.SATCalls++
-			v, status, err := SolveOutputOne(miter, miter.POs[0], cfg.SATConflictBudget)
+			v, status, conflicts, err := SolveOutputOne(miter, miter.POs[0], cfg.SATConflictBudget)
 			if err != nil {
 				continue
 			}
+			stats.SATConflicts += conflicts
 			switch status {
 			case Untestable:
 				redundant[i] = true
@@ -355,8 +358,9 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 						(cfg.MaxSATCalls == 0 || stats.SATCalls < cfg.MaxSATCalls) {
 						// Complete fallback: Tseitin-encode the miter.
 						if miter, merr := BuildMiter(c, faults[a], faults[b]); merr == nil {
-							if v, sstatus, serr := SolveOutputOne(miter, miter.POs[0], cfg.SATConflictBudget); serr == nil {
+							if v, sstatus, conflicts, serr := SolveOutputOne(miter, miter.POs[0], cfg.SATConflictBudget); serr == nil {
 								stats.SATCalls++
+								stats.SATConflicts += conflicts
 								if sstatus == Aborted {
 									satUseless++
 								} else {

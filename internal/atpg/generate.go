@@ -59,6 +59,11 @@ type GenStats struct {
 	Detected    int // faults detected at least once
 	NDetected   int // faults detected at least NDetect times
 	Faults      int // faults targeted
+	// SATCalls and SATConflicts count the detection-miter SAT fallback
+	// invocations and the conflicts they spent; unlike wall time, they
+	// repeat exactly from run to run.
+	SATCalls     int
+	SATConflicts int64
 	// Interrupted is set when generation stopped early on context
 	// cancellation or deadline; the returned test set is valid but may
 	// leave faults short of their detection targets.
@@ -221,7 +226,9 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 				// Second structural abort: escalate to the complete SAT
 				// procedure on the detection miter.
 				if miter, merr := BuildDetectionMiter(c, faults[fi]); merr == nil {
-					if v, sstatus, serr := SolveOutputOne(miter, miter.POs[0], cfg.SATConflictBudget); serr == nil {
+					if v, sstatus, conflicts, serr := SolveOutputOne(miter, miter.POs[0], cfg.SATConflictBudget); serr == nil {
+						stats.SATCalls++
+						stats.SATConflicts += conflicts
 						cube, status = v, sstatus
 					}
 				}

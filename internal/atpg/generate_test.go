@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sddict/internal/core"
@@ -188,4 +189,34 @@ func pairsHelper(c *netlist.Circuit, faults []fault.Fault, tests *pattern.Set) (
 		p.RefineByClass(m.Class[j])
 	}
 	return p.Pairs(), len(p.GroupSizes())
+}
+
+// TestSATCountersDeterministic: the SAT counters in GenStats and DiagStats
+// sum Solver.Stats conflicts, which depend only on the circuit, faults and
+// config, so two runs agree exactly whatever the scheduler does.
+func TestSATCountersDeterministic(t *testing.T) {
+	comb := netlist.Combinationalize(gen.Profiles["s298"].MustGenerate(2))
+	col := fault.Collapse(comb)
+	cfg := DefaultConfig(1)
+	cfg.Seed = 3
+	cfg.BacktrackLimit = 2 // force PODEM aborts, hence the SAT fallback
+	dcfg := DefaultDiagConfig()
+	dcfg.Seed = 4
+	dcfg.MaxRounds = 3
+
+	run := func(procs int) (GenStats, DiagStats) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		base, st := GenerateDetection(comb, col.Faults, cfg)
+		_, dst := GenerateDiagnostic(comb, col.Faults, base, dcfg)
+		return st, dst
+	}
+	st1, dst1 := run(1)
+	st2, dst2 := run(4)
+	if st1.SATCalls == 0 || st1.SATConflicts == 0 || dst1.SATCalls == 0 || dst1.SATConflicts == 0 {
+		t.Fatalf("SAT fallback not exercised: detect %d calls/%d conflicts, diag %d calls/%d conflicts",
+			st1.SATCalls, st1.SATConflicts, dst1.SATCalls, dst1.SATConflicts)
+	}
+	if st1 != st2 || dst1 != dst2 {
+		t.Fatalf("stats differ across runs:\n%+v\n%+v\n%+v\n%+v", st1, st2, dst1, dst2)
+	}
 }

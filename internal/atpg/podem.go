@@ -63,11 +63,21 @@ type Engine struct {
 	scoap  *netlist.SCOAP
 	ctx    context.Context // optional; cancels Generate with Aborted
 
+	// Event-driven implication: gates whose value must be recomputed,
+	// bucketed by Circuit.Level so each is evaluated once, after all its
+	// fanins have settled.
+	buckets [][]int32
+	queued  []bool
+
 	// scratch
 	in      []logic.V5
 	visited []uint32
 	visitID uint32
 }
+
+// implyHook, when non-nil, runs after every incremental implication. Tests
+// install it to check val against the whole-circuit pass.
+var implyHook func(*Engine)
 
 // NewEngine returns an engine for the combinational circuit c. The circuit
 // must contain no flip-flops (use netlist.Combinationalize first).
@@ -90,6 +100,8 @@ func NewEngine(c *netlist.Circuit) *Engine {
 		slot:           make([]int32, len(c.Gates)),
 		in:             make([]logic.V5, maxFanin),
 		visited:        make([]uint32, len(c.Gates)),
+		buckets:        make([][]int32, c.MaxLevel()+1),
+		queued:         make([]bool, len(c.Gates)),
 	}
 	for i := range e.slot {
 		e.slot[i] = -1
@@ -124,7 +136,7 @@ func (e *Engine) Generate(f fault.Fault) (pattern.Vector, Status) {
 	for i := range e.piVal {
 		e.piVal[i] = logic.X
 	}
-	e.imply()
+	e.implyAll()
 
 	type decision struct {
 		gate    int32
@@ -150,7 +162,7 @@ func (e *Engine) Generate(f fault.Fault) (pattern.Vector, Status) {
 			// Backtrace can dead-end on an already-assigned input or a
 			// constant; treat that like an infeasible state.
 			if e.c.Gates[pi].Type == netlist.Input && !e.piVal[pi].Known() {
-				e.piVal[pi] = v
+				e.setPI(pi, v)
 				e.imply()
 				stack = append(stack, decision{gate: pi})
 				continue
@@ -169,47 +181,100 @@ func (e *Engine) Generate(f fault.Fault) (pattern.Vector, Status) {
 					return nil, Aborted
 				}
 				top.flipped = true
-				e.piVal[top.gate] = e.piVal[top.gate].Not()
+				e.setPI(top.gate, e.piVal[top.gate].Not())
 				break
 			}
-			e.piVal[top.gate] = logic.X
+			e.setPI(top.gate, logic.X)
 			stack = stack[:len(stack)-1]
 		}
 		e.imply()
 	}
 }
 
-// imply recomputes the five-valued value of every gate from the current PI
-// assignment, injecting the target fault.
+// implyAll recomputes the five-valued value of every gate from the
+// current PI assignment, injecting the target fault, and drops any events
+// a previous search left pending. Generate runs it once per fault;
+// decisions then update val incrementally through imply.
+func (e *Engine) implyAll() {
+	for l, b := range e.buckets {
+		for _, g := range b {
+			e.queued[g] = false
+		}
+		e.buckets[l] = b[:0]
+	}
+	for _, g := range e.c.Order() {
+		e.val[g] = e.evalGate(g)
+	}
+}
+
+// setPI assigns a PI decision and schedules the input for re-evaluation
+// by the next imply.
+func (e *Engine) setPI(pi int32, v logic.Value) {
+	e.piVal[pi] = v
+	e.schedule(pi)
+}
+
+func (e *Engine) schedule(g int32) {
+	if !e.queued[g] {
+		e.queued[g] = true
+		l := e.c.Level(g)
+		e.buckets[l] = append(e.buckets[l], g)
+	}
+}
+
+// imply brings val up to date with the PI decisions made since the last
+// implication: scheduled gates are re-evaluated level by level, and only a
+// gate whose value changed schedules its fanout. Every fanout sits on a
+// higher level, so each gate is evaluated at most once, after its fanins,
+// and val ends exactly as implyAll would leave it.
 func (e *Engine) imply() {
+	for l := range e.buckets {
+		for i := 0; i < len(e.buckets[l]); i++ {
+			g := e.buckets[l][i]
+			e.queued[g] = false
+			if v := e.evalGate(g); v != e.val[g] {
+				e.val[g] = v
+				for _, s := range e.c.Fanout(g) {
+					e.schedule(s)
+				}
+			}
+		}
+		e.buckets[l] = e.buckets[l][:0]
+	}
+	if implyHook != nil {
+		implyHook(e)
+	}
+}
+
+// evalGate computes gate g's five-valued value from its fanins' current
+// values, injecting the target fault.
+func (e *Engine) evalGate(g int32) logic.V5 {
 	f := e.target
 	stuckFaulty := logic.FromBit(uint64(f.Stuck))
-	for _, g := range e.c.Order() {
-		gate := &e.c.Gates[g]
-		var v logic.V5
-		switch gate.Type {
-		case netlist.Input:
-			v = logic.FromPair(e.piVal[g], e.piVal[g])
-		case netlist.Const0:
-			v = logic.Z5
-		case netlist.Const1:
-			v = logic.O5
-		default:
-			in := e.in[:len(gate.Fanin)]
-			for pin, d := range gate.Fanin {
-				pv := e.val[d]
-				if !f.IsStem() && f.Gate == g && int32(pin) == f.Pin {
-					pv = logic.FromPair(pv.Good(), stuckFaulty)
-				}
-				in[pin] = pv
+	gate := &e.c.Gates[g]
+	var v logic.V5
+	switch gate.Type {
+	case netlist.Input:
+		v = logic.FromPair(e.piVal[g], e.piVal[g])
+	case netlist.Const0:
+		v = logic.Z5
+	case netlist.Const1:
+		v = logic.O5
+	default:
+		in := e.in[:len(gate.Fanin)]
+		for pin, d := range gate.Fanin {
+			pv := e.val[d]
+			if !f.IsStem() && f.Gate == g && int32(pin) == f.Pin {
+				pv = logic.FromPair(pv.Good(), stuckFaulty)
 			}
-			v = eval5(gate.Type, in)
+			in[pin] = pv
 		}
-		if f.IsStem() && f.Gate == g {
-			v = logic.FromPair(v.Good(), stuckFaulty)
-		}
-		e.val[g] = v
+		v = eval5(gate.Type, in)
 	}
+	if f.IsStem() && f.Gate == g {
+		v = logic.FromPair(v.Good(), stuckFaulty)
+	}
+	return v
 }
 
 // eval5 evaluates one gate in the five-valued calculus.

@@ -12,15 +12,41 @@ import (
 // SolveOutputOne finds, via SAT, an input vector driving the given gate of
 // a combinational circuit to 1, or proves none exists. It Tseitin-encodes
 // the gate's fanin cone and returns the vector over the circuit's scan
-// inputs (inputs outside the cone stay X). The conflict budget bounds the
-// effort; 0 uses the solver default.
+// inputs (inputs outside the cone stay X), plus the conflicts the solver
+// spent, a deterministic measure of the effort. The conflict budget bounds
+// the effort; 0 uses the solver default.
 //
 // This is the complete decision procedure behind the SAT fallback for
 // pair distinguishing: structural PODEM aborts become definitive answers.
-func SolveOutputOne(c *netlist.Circuit, target int32, conflictBudget int64) (pattern.Vector, Status, error) {
+func SolveOutputOne(c *netlist.Circuit, target int32, conflictBudget int64) (pattern.Vector, Status, int64, error) {
 	if len(c.DFFs) != 0 {
-		return nil, Aborted, fmt.Errorf("atpg: SAT solving requires a combinational circuit")
+		return nil, Aborted, 0, fmt.Errorf("atpg: SAT solving requires a combinational circuit")
 	}
+	s, varOf := encodeOutputOne(c, target)
+	res := s.Solve(conflictBudget)
+	_, conflicts := s.Stats()
+	switch res {
+	case sat.Unsat:
+		return nil, Untestable, conflicts, nil
+	case sat.Unknown:
+		return nil, Aborted, conflicts, nil
+	}
+	view := netlist.NewScanView(c)
+	vec := make(pattern.Vector, view.NumInputs())
+	for slot, g := range view.Inputs {
+		if varOf[g] < 0 {
+			vec[slot] = logic.X
+			continue
+		}
+		vec[slot] = logic.FromBit(boolToBit(s.Value(varOf[g])))
+	}
+	return vec, Success, conflicts, nil
+}
+
+// encodeOutputOne Tseitin-encodes the fanin cone of target with target
+// asserted to 1. It returns the solver and each gate's variable (-1
+// outside the cone).
+func encodeOutputOne(c *netlist.Circuit, target int32) (*sat.Solver, []int) {
 	// Collect the fanin cone of the target.
 	inCone := make([]bool, len(c.Gates))
 	stack := []int32{target}
@@ -116,22 +142,7 @@ func SolveOutputOne(c *netlist.Circuit, target int32, conflictBudget int64) (pat
 	}
 
 	s.AddClause(lit(target, false))
-	switch s.Solve(conflictBudget) {
-	case sat.Unsat:
-		return nil, Untestable, nil
-	case sat.Unknown:
-		return nil, Aborted, nil
-	}
-	view := netlist.NewScanView(c)
-	vec := make(pattern.Vector, view.NumInputs())
-	for slot, g := range view.Inputs {
-		if varOf[g] < 0 {
-			vec[slot] = logic.X
-			continue
-		}
-		vec[slot] = logic.FromBit(boolToBit(s.Value(varOf[g])))
-	}
-	return vec, Success, nil
+	return s, varOf
 }
 
 func boolToBit(b bool) uint64 {

@@ -46,7 +46,7 @@ func TestSATDistinguishMatchesExhaustive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vec, status, err := SolveOutputOne(m, m.POs[0], 0)
+			vec, status, _, err := SolveOutputOne(m, m.POs[0], 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +87,7 @@ func TestSATAgreesWithPodemOnDetection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vec, status, err := SolveOutputOne(m, m.POs[0], 50000)
+		vec, status, _, err := SolveOutputOne(m, m.POs[0], 50000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestSATAgreesWithPodemOnDetection(t *testing.T) {
 // TestSolveOutputOneRejectsSequential covers the guard.
 func TestSolveOutputOneRejectsSequential(t *testing.T) {
 	seq := gen.Profiles["s27"].MustGenerate(1)
-	if _, _, err := SolveOutputOne(seq, seq.POs[0], 0); err == nil {
+	if _, _, _, err := SolveOutputOne(seq, seq.POs[0], 0); err == nil {
 		t.Fatal("sequential circuit accepted")
 	}
 }
@@ -152,7 +152,7 @@ func TestSATXnorEncoding(t *testing.T) {
 	}
 	view := netlist.NewScanView(c)
 	for _, target := range []int32{x, inv} {
-		vec, status, err := SolveOutputOne(c, target, 0)
+		vec, status, _, err := SolveOutputOne(c, target, 0)
 		if err != nil || status != Success {
 			t.Fatalf("target %d: status %v err %v", target, status, err)
 		}
@@ -174,7 +174,7 @@ func TestSATConstantCone(t *testing.T) {
 	y := b.Gate(netlist.And, "y", a, n) // constant 0
 	b.Output(y)
 	c, _ := b.Build()
-	_, status, err := SolveOutputOne(c, y, 0)
+	_, status, _, err := SolveOutputOne(c, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,16 +72,31 @@ type Solver struct {
 	clauses []*clause
 	watches [][]*clause // literal -> clauses watching it
 
-	assign []int8  // per variable: lTrue/lFalse/lUndef
+	value  []int8  // per literal (a variable's is its positive literal's): lTrue/lFalse/lUndef
 	level  []int32 // decision level of the assignment
 	reason []*clause
 	trail  []Lit
 	lim    []int // trail indices at each decision level
+	// qhead is the trail index of the next literal to propagate: every
+	// literal before it has had its watch list processed. cancelUntil
+	// clamps it to the surviving trail.
+	qhead int
 
-	activity  []float64
-	varInc    float64
-	phase     []int8 // saved phase per variable
-	unsatable bool   // an empty clause was added
+	activity []float64
+	varInc   float64
+	// order is a binary max-heap of variables by (activity desc, index
+	// asc), the same pick as a linear scan for the most active variable.
+	// Every unassigned variable is in it; assigned ones are dropped lazily
+	// when decide pops them, and cancelUntil puts them back.
+	order     []int32
+	orderPos  []int32 // position of each variable in order, or -1
+	phase     []int8  // saved phase per variable
+	unsatable bool    // an empty clause was added
+
+	// seen marks variables during analyze; toClear lists the marks to
+	// reset, so one conflict costs only the variables it touched.
+	seen    []bool
+	toClear []int
 
 	propagations int64
 	conflicts    int64
@@ -94,45 +109,45 @@ type Solver struct {
 func NewSolver(numVars int) *Solver {
 	s := &Solver{
 		watches:    make([][]*clause, 2*numVars),
-		assign:     make([]int8, numVars),
+		value:      make([]int8, 2*numVars),
 		level:      make([]int32, numVars),
 		reason:     make([]*clause, numVars),
 		activity:   make([]float64, numVars),
 		phase:      make([]int8, numVars),
+		seen:       make([]bool, numVars),
+		order:      make([]int32, numVars),
+		orderPos:   make([]int32, numVars),
 		varInc:     1,
 		maxLearned: 4000,
 	}
 	for i := range s.phase {
 		s.phase[i] = lFalse
+		// Equal activities order by index, so 0..n-1 is already a heap.
+		s.order[i] = int32(i)
+		s.orderPos[i] = int32(i)
 	}
 	return s
 }
 
 // NumVars returns the variable count.
-func (s *Solver) NumVars() int { return len(s.assign) }
+func (s *Solver) NumVars() int { return len(s.value) / 2 }
 
 // AddVar appends a fresh variable and returns its index.
 func (s *Solver) AddVar() int {
-	v := len(s.assign)
-	s.assign = append(s.assign, lUndef)
+	v := s.NumVars()
+	s.value = append(s.value, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, lFalse)
+	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
+	s.orderPos = append(s.orderPos, -1)
+	s.heapInsert(v)
 	return v
 }
 
-func (s *Solver) litValue(l Lit) int8 {
-	v := s.assign[l.Var()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.Neg() {
-		return -v
-	}
-	return v
-}
+func (s *Solver) litValue(l Lit) int8 { return s.value[l] }
 
 // AddClause adds a clause (given at decision level 0). Duplicate literals
 // are removed; tautologies are ignored. Returns false if the formula is
@@ -205,22 +220,24 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 		return false
 	}
 	v := l.Var()
-	if l.Neg() {
-		s.assign[v] = lFalse
-	} else {
-		s.assign[v] = lTrue
-	}
+	s.value[l] = lTrue
+	s.value[l.Not()] = lFalse
 	s.level[v] = int32(len(s.lim))
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
 	return true
 }
 
-// propagate performs unit propagation; it returns the conflicting clause
-// or nil.
+// propagate performs unit propagation from qhead; it returns the
+// conflicting clause or nil. Resuming at qhead rather than at the start of
+// the trail changes nothing: after a literal's watch list is processed,
+// every clause left on it has its other watch true at the same or a lower
+// decision level, so it stays satisfied for as long as the literal stays
+// assigned, and a re-scan would keep every clause in place and enqueue
+// nothing.
 func (s *Solver) propagate() *clause {
-	for qhead := 0; qhead < len(s.trail); qhead++ {
-		p := s.trail[qhead]
+	for ; s.qhead < len(s.trail); s.qhead++ {
+		p := s.trail[s.qhead]
 		s.propagations++
 		// Clauses watching ¬p must find a new watch or propagate.
 		ws := s.watches[p]
@@ -272,14 +289,90 @@ func (s *Solver) bumpVar(v int) {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
+		// Scaling keeps the order of distinct activities except where
+		// rounding or underflow makes them equal, which hands the tie to
+		// the lower index; re-heapify rather than reason about which.
+		for i := len(s.order)/2 - 1; i >= 0; i-- {
+			s.heapDown(i)
+		}
+		return
 	}
+	if i := s.orderPos[v]; i >= 0 {
+		s.heapUp(int(i))
+	}
+}
+
+// before is the heap order: higher activity first, lower index on ties.
+func (s *Solver) before(a, b int32) bool {
+	aa, ab := s.activity[a], s.activity[b]
+	return aa > ab || aa == ab && a < b
+}
+
+func (s *Solver) heapInsert(v int) {
+	if s.orderPos[v] >= 0 {
+		return
+	}
+	s.orderPos[v] = int32(len(s.order))
+	s.order = append(s.order, int32(v))
+	s.heapUp(len(s.order) - 1)
+}
+
+func (s *Solver) heapUp(i int) {
+	v := s.order[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s.before(v, s.order[parent]) {
+			break
+		}
+		s.order[i] = s.order[parent]
+		s.orderPos[s.order[i]] = int32(i)
+		i = parent
+	}
+	s.order[i] = v
+	s.orderPos[v] = int32(i)
+}
+
+func (s *Solver) heapDown(i int) {
+	v := s.order[i]
+	n := len(s.order)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && s.before(s.order[r], s.order[child]) {
+			child = r
+		}
+		if !s.before(s.order[child], v) {
+			break
+		}
+		s.order[i] = s.order[child]
+		s.orderPos[s.order[i]] = int32(i)
+		i = child
+	}
+	s.order[i] = v
+	s.orderPos[v] = int32(i)
+}
+
+// heapPop removes and returns the first variable in heap order.
+func (s *Solver) heapPop() int {
+	v := s.order[0]
+	last := len(s.order) - 1
+	s.order[0] = s.order[last]
+	s.orderPos[s.order[0]] = 0
+	s.order = s.order[:last]
+	s.orderPos[v] = -1
+	if last > 0 {
+		s.heapDown(0)
+	}
+	return int(v)
 }
 
 // analyze derives a first-UIP learned clause from the conflict and returns
 // it with the backtrack level.
 func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	learned := []Lit{0} // slot 0 reserved for the asserting literal
-	seen := make(map[int]bool)
+	seen := s.seen
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
@@ -300,6 +393,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 				continue
 			}
 			seen[v] = true
+			s.toClear = append(s.toClear, v)
 			s.bumpVar(v)
 			if s.level[v] == curLevel {
 				counter++
@@ -321,6 +415,10 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		c = s.reason[p.Var()]
 	}
 	learned[0] = p.Not()
+	for _, v := range s.toClear {
+		seen[v] = false
+	}
+	s.toClear = s.toClear[:0]
 
 	// Backtrack level: the highest level among the other literals.
 	back := 0
@@ -346,28 +444,29 @@ func (s *Solver) cancelUntil(level int) {
 	}
 	bound := s.lim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		s.phase[v] = s.assign[v]
-		s.assign[v] = lUndef
+		l := s.trail[i]
+		v := l.Var()
+		s.phase[v] = s.value[MkLit(v, false)]
+		s.value[l], s.value[l.Not()] = lUndef, lUndef
 		s.reason[v] = nil
+		s.heapInsert(v)
 	}
 	s.trail = s.trail[:bound]
 	s.lim = s.lim[:level]
+	if s.qhead > bound {
+		s.qhead = bound
+	}
 }
 
-// decide picks the unassigned variable with the highest activity.
+// decide picks the unassigned variable with the highest activity, the
+// lowest index among equals.
 func (s *Solver) decide() (Lit, bool) {
-	best := -1
-	var bestAct float64 = -1
-	for v := 0; v < len(s.assign); v++ {
-		if s.assign[v] == lUndef && s.activity[v] > bestAct {
-			best, bestAct = v, s.activity[v]
+	for len(s.order) > 0 {
+		if v := s.heapPop(); s.value[MkLit(v, false)] == lUndef {
+			return MkLit(v, s.phase[v] != lTrue), true
 		}
 	}
-	if best < 0 {
-		return 0, false
-	}
-	return MkLit(best, s.phase[best] != lTrue), true
+	return 0, false
 }
 
 // Solve runs the CDCL loop with the given conflict budget (0 = default of
@@ -467,7 +566,9 @@ func sortClausesByLenDesc(cs []*clause) {
 }
 
 // Value returns the model value of variable v after Solve returned Sat.
-func (s *Solver) Value(v int) bool { return s.assign[v] == lTrue }
+func (s *Solver) Value(v int) bool { return s.value[MkLit(v, false)] == lTrue }
 
-// Stats returns (propagations, conflicts) counters.
+// Stats returns (propagations, conflicts) counters. Propagations counts
+// each assignment once, when its watch list is processed, so it measures
+// bookkeeping; conflicts measures the search itself.
 func (s *Solver) Stats() (int64, int64) { return s.propagations, s.conflicts }
