@@ -37,9 +37,17 @@ lint-fix-check:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over the .bench parser; CI-friendly budget.
+# Short fuzz passes over the .bench parser and the trace readers
+# (JSONL events, traceparent headers, sddstat's analysis); CI-friendly
+# budget. The trace seeds are real traces of a few KB, so minimizing a
+# new input is capped to keep the budget on fuzzing.
+FUZZ_TRACE = -fuzztime=10s -fuzzminimizetime=1s
+
 fuzz:
 	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=30s ./internal/bench/
+	$(GO) test -run='^FuzzReadEvents$$' -fuzz='^FuzzReadEvents$$' $(FUZZ_TRACE) ./internal/obs/
+	$(GO) test -run='^FuzzParseTraceparent$$' -fuzz='^FuzzParseTraceparent$$' $(FUZZ_TRACE) ./internal/obs/
+	$(GO) test -run='^FuzzReadRun$$' -fuzz='^FuzzReadRun$$' $(FUZZ_TRACE) ./internal/obs/analyze/
 
 # Parallel-layer benchmarks (restart search, fault-sim sharding, sweep
 # rows) at workers=1 vs N plus the partition scan/refine microbenchmarks

@@ -20,7 +20,7 @@
 //
 // The shared observability flags (-progress, -trace-out, -metrics-out,
 // -metrics-addr, -pprof) record the run without changing its outputs;
-// cmd/sddstat turns the trace and metrics artifacts into a phase/
+// cmd/sddstat turns the trace and metrics artifacts into a stage/
 // convergence report afterwards, and -metrics-addr serves the live
 // counters in OpenMetrics text format at /metrics for scraping.
 package main
@@ -40,6 +40,8 @@ import (
 	"sddict/internal/experiment"
 	"sddict/internal/fault"
 	"sddict/internal/gen"
+	"sddict/internal/netlist"
+	"sddict/internal/obs"
 	"sddict/internal/report"
 )
 
@@ -47,7 +49,7 @@ func main() {
 	cli.Main("sdd", run)
 }
 
-func run(ctx context.Context) error {
+func run(ctx context.Context) (err error) {
 	var (
 		circuit   = flag.String("circuit", "", "named synthetic circuit profile (see -list)")
 		benchPath = flag.String("bench", "", "ISCAS-89 .bench netlist to load instead of a profile")
@@ -88,25 +90,39 @@ func run(ctx context.Context) error {
 		fmt.Fprintf(os.Stderr, "sdd: serving OpenMetrics at http://%s/metrics\n", sess.MetricsAddr)
 	}
 
-	var pr *experiment.Prepared
-	cfg := experiment.Config{Seed: *seed, Effort: *effort, CheckpointPath: *ckpt, Workers: *workers,
-		Obs: sess.Observer}
+	var c *netlist.Circuit
 	switch {
 	case *benchPath != "":
 		f, ferr := os.Open(*benchPath)
 		if ferr != nil {
 			return ferr
 		}
-		c, perr := bench.Parse(f, *benchPath)
+		c, err = bench.Parse(f, *benchPath)
 		f.Close()
-		if perr != nil {
-			return perr
+		if err != nil {
+			return err
 		}
-		pr, err = experiment.PrepareCtx(ctx, c, tt, cfg)
-	case *circuit != "":
-		pr, err = experiment.PrepareProfileCtx(ctx, *circuit, tt, cfg)
-	default:
+	case *circuit == "":
 		return cli.Usagef("need -circuit or -bench (or -list)")
+	}
+
+	// The whole run is one root span, its stages opened by the layers;
+	// emitted last, so an interrupted trace ends on it.
+	label := *circuit
+	if c != nil {
+		label = c.Name
+	}
+	span := sess.Observer.StartSpan(label + "/" + string(tt))
+	ctx = obs.ContextWithSpan(ctx, span)
+	defer func() { span.EndBuild(ctx, err) }()
+
+	var pr *experiment.Prepared
+	cfg := experiment.Config{Seed: *seed, Effort: *effort, CheckpointPath: *ckpt, Workers: *workers,
+		Obs: sess.Observer}
+	if c != nil {
+		pr, err = experiment.PrepareCtx(ctx, c, tt, cfg)
+	} else {
+		pr, err = experiment.PrepareProfileCtx(ctx, *circuit, tt, cfg)
 	}
 	if err != nil {
 		return err
@@ -167,12 +183,12 @@ func run(ctx context.Context) error {
 			return cli.Usagef("-dump-responses needs -inject in [0,%d)", len(pr.Faults))
 		}
 		defect := pr.Faults[*inject]
-		obs, err := diagnose.ObservedResponses(pr.Circuit, []fault.Fault{defect}, pr.Tests)
+		observed, err := diagnose.ObservedResponses(pr.Circuit, []fault.Fault{defect}, pr.Tests)
 		if err != nil {
 			return err
 		}
 		err = core.AtomicWriteFile(*dumpResp, func(w io.Writer) error {
-			for _, v := range obs {
+			for _, v := range observed {
 				if _, werr := fmt.Fprintln(w, v.String(m.M)); werr != nil {
 					return werr
 				}
@@ -183,10 +199,11 @@ func run(ctx context.Context) error {
 			return err
 		}
 		fmt.Printf("defect #%d (%s) injected; %d observed responses written to %s\n",
-			*inject, defect.Name(pr.Circuit), len(obs), *dumpResp)
+			*inject, defect.Name(pr.Circuit), len(observed), *dumpResp)
 	}
 
 	if *publish != "" {
+		span.BeginStage("publish")
 		compiled, err := sd.Compile()
 		if err != nil {
 			return err
@@ -207,6 +224,7 @@ func run(ctx context.Context) error {
 		if err := art.Save(*publish); err != nil {
 			return err
 		}
+		span.EndStage()
 		fmt.Printf("dictionary artifact published to %s (format v%d, checksum %08x)\n",
 			*publish, dictio.FormatVersion, art.Checksum)
 	}

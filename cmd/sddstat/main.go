@@ -1,13 +1,12 @@
 // Command sddstat is the post-run analyzer for the observability
 // artifacts the pipeline commands write: it reads a -trace-out JSONL
 // build-event trace (plus, optionally, the matching -metrics-out
-// snapshot) and reports the reconstructed timeline — per-phase
-// wall-clock breakdown, the restart-convergence curve, the
-// speculation-waste ratio of the parallel search, checkpoint cadence,
-// and histogram percentiles. Its compare mode diffs the metrics
-// snapshots of two runs and exits nonzero when a counter or percentile
-// drifted past its threshold in either direction, which is what CI
-// gates on.
+// snapshot) and reports the build — the stage breakdown of its root
+// spans, the restart-convergence curve, the speculation-waste ratio of
+// the parallel search, checkpoint cadence, and histogram percentiles.
+// Its compare mode diffs the metrics snapshots of two runs and exits
+// nonzero when a counter or percentile drifted past its threshold in
+// either direction, which is what CI gates on.
 //
 // Its serve mode reads an sddserve span journal instead — per-request
 // spans with stage breakdowns — and, given the matching sddload client
@@ -72,90 +71,70 @@ func run(ctx context.Context) error {
 // and — given an sddload client journal — the client↔server latency
 // join by request ID.
 func runServe(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("sddstat serve", flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
-	asJSON := fs.Bool("json", false, "emit the serve analysis as JSON instead of the text report")
-	if err := fs.Parse(args); err != nil {
-		return cli.Usagef("%v", err)
-	}
-	var spanPath, clientPath string
-	switch rest := fs.Args(); len(rest) {
-	case 1:
-		spanPath = rest[0]
-	case 2:
-		spanPath, clientPath = rest[0], rest[1]
-	default:
-		return cli.Usagef("usage: sddstat serve [-json] server-trace.jsonl [client-journal.jsonl]")
-	}
-
-	f, err := os.Open(spanPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r, err := analyze.ReadServeRun(f)
-	if err != nil {
-		return err
-	}
-	if clientPath != "" {
+	usage := "sddstat serve [-json] server-trace.jsonl [client-journal.jsonl]"
+	return runAnalysis("sddstat serve", usage, args, stdout, func(f io.Reader, clientPath string) (textReport, error) {
+		r, err := analyze.ReadServeRun(f)
+		if err != nil || clientPath == "" {
+			return r, err
+		}
 		cf, err := os.Open(clientPath)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer cf.Close()
 		if err := r.JoinClient(cf); err != nil {
-			return fmt.Errorf("joining client journal %s: %w", clientPath, err)
+			return nil, fmt.Errorf("joining client journal %s: %w", clientPath, err)
 		}
-	}
-	if *asJSON {
-		return writeJSON(stdout, r)
-	}
-	return r.WriteText(stdout)
+		return r, nil
+	})
 }
 
-// runReport is the default mode: analyze one run's artifacts.
+// runReport is the default mode: analyze one run's build trace and,
+// optionally, its metrics snapshot. A trace written under another
+// schema carries events whose meaning differs; ReadRun refuses it
+// rather than misreport.
 func runReport(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("sddstat", flag.ContinueOnError)
+	usage := "sddstat [-json] trace.jsonl [metrics.json]"
+	return runAnalysis("sddstat", usage, args, stdout, func(f io.Reader, metricsPath string) (textReport, error) {
+		r, err := analyze.ReadRun(f)
+		if err != nil || metricsPath == "" {
+			return r, err
+		}
+		snap, err := readSnapshot(metricsPath)
+		if err != nil {
+			return nil, err
+		}
+		r.AttachMetrics(snap)
+		return r, nil
+	})
+}
+
+// textReport is an analysis both output modes can render.
+type textReport interface{ WriteText(io.Writer) error }
+
+// runAnalysis is the shape the report and serve modes share: flags,
+// one trace plus an optional second file handed to read, then the
+// result as text or, with -json, as JSON.
+func runAnalysis(name, usage string, args []string, stdout io.Writer,
+	read func(trace io.Reader, second string) (textReport, error)) error {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	asJSON := fs.Bool("json", false, "emit the analysis as JSON instead of the text report")
 	if err := fs.Parse(args); err != nil {
 		return cli.Usagef("%v", err)
 	}
-
-	var tracePath, metricsPath string
-	switch rest := fs.Args(); len(rest) {
-	case 1:
-		tracePath = rest[0]
-	case 2:
-		tracePath, metricsPath = rest[0], rest[1]
-	default:
-		return cli.Usagef("usage: sddstat [-json] trace.jsonl [metrics.json]")
+	if fs.NArg() < 1 || fs.NArg() > 2 {
+		return cli.Usagef("usage: %s", usage)
 	}
-
-	f, err := os.Open(tracePath)
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	r, err := analyze.ReadRun(f)
+	r, err := read(f, fs.Arg(1))
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", fs.Arg(0), err)
 	}
-	// A trace written by a newer schema may carry events whose meaning
-	// changed; refuse rather than misreport.
-	if r.Build.Schema > obs.TraceSchemaVersion {
-		return fmt.Errorf("trace %s is schema v%d; this sddstat understands up to v%d",
-			tracePath, r.Build.Schema, obs.TraceSchemaVersion)
-	}
-
-	if metricsPath != "" {
-		snap, err := readSnapshot(metricsPath)
-		if err != nil {
-			return err
-		}
-		r.AttachMetrics(snap)
-	}
-
 	if *asJSON {
 		return writeJSON(stdout, r)
 	}

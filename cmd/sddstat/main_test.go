@@ -76,8 +76,8 @@ func TestReportText(t *testing.T) {
 	for _, want := range []string{
 		"build: 32 faults x 8 tests",
 		"final indist 5 after 1 restarts",
-		"phase breakdown:",
-		"restart search",
+		"stage breakdown:",
+		"restart convergence",
 		"checkpoints: 1 saves (1 persisted, 0 loads)",
 		"candidate_scans = 777",
 	} {
@@ -137,6 +137,16 @@ func TestReportRefusesNewerSchema(t *testing.T) {
 	err = runReport([]string{path}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Errorf("future-schema trace must be refused, got %v", err)
+	}
+}
+
+// TestReportRefusesV1Trace: a trace recorded before builds were timed by
+// spans (schema v1, checked in from a real run) is refused with a
+// request to re-record it, not misreported.
+func TestReportRefusesV1Trace(t *testing.T) {
+	err := runReport([]string{filepath.Join("testdata", "trace-v1.jsonl")}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "schema v1") || !strings.Contains(err.Error(), "re-record") {
+		t.Errorf("v1 trace must be refused with a re-record hint, got %v", err)
 	}
 }
 

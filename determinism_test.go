@@ -9,6 +9,7 @@ package sddict_test
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -233,6 +234,42 @@ func TestObservabilityPureMeasurement(t *testing.T) {
 							prof.name, workers, name, v, refCounters[name])
 					}
 				}
+			}
+		}
+
+		// A root build span in ctx — what sdd and table6 attach under
+		// -trace-out — opens a stage in every layer; the prepared test set
+		// and matrix, the dictionary, BuildStats and cand_evals must not
+		// move, with the span or without it.
+		for _, workers := range []int{1, 4} {
+			var spanTrace bytes.Buffer
+			spans := obs.NewSpans(&obs.Observer{Trace: obs.NewTracer(&spanTrace, nil)}, nil, obs.SpanOptions{Sample: 1})
+			span := spans.Start("BUILD", prof.name+"/"+string(prof.tt), "")
+			ctx := obs.ContextWithSpan(context.Background(), span)
+			label := prof.name + " under a root span, workers=" + itoa(workers)
+			spr, err := experiment.PrepareProfileCtx(ctx, prof.name, prof.tt, experiment.Config{Seed: 3, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: prepare: %v", label, err)
+			}
+			if spr.Tests.Len() != pr.Tests.Len() || spr.Matrix.K != pr.Matrix.K {
+				t.Fatalf("%s: %d tests, %d matrix rows; without the span %d, %d",
+					label, spr.Tests.Len(), spr.Matrix.K, pr.Tests.Len(), pr.Matrix.K)
+			}
+			for j := 0; j < pr.Matrix.K; j++ {
+				if !reflect.DeepEqual(spr.Matrix.Class[j], pr.Matrix.Class[j]) {
+					t.Fatalf("%s: matrix Class[%d] differs from the span-less build", label, j)
+				}
+			}
+			o := opt
+			o.Workers = workers
+			d, st, err := core.BuildSameDiffCtx(ctx, spr.Matrix, o)
+			spans.End(span)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertSameBuild(t, label, dRef, d, stRef, st) // BuildStats carries cand_evals
+			if events, err := obs.ReadEvents(&spanTrace); err != nil || len(events) != 1 || events[0].Type != "span" {
+				t.Fatalf("%s: span trace = %v, %v; want one span event", label, events, err)
 			}
 		}
 

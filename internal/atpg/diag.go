@@ -8,6 +8,7 @@ import (
 	"sddict/internal/core"
 	"sddict/internal/fault"
 	"sddict/internal/netlist"
+	"sddict/internal/obs"
 	"sddict/internal/pattern"
 	"sddict/internal/resp"
 )
@@ -95,6 +96,9 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	sp := obs.SpanFrom(ctx)
+	sp.BeginStage("atpg.diag")
+	defer sp.EndStage()
 	r := rand.New(rand.NewSource(cfg.Seed))
 	view := netlist.NewScanView(c)
 	tests := base.Clone()

@@ -6,6 +6,7 @@ import (
 
 	"sddict/internal/fault"
 	"sddict/internal/netlist"
+	"sddict/internal/obs"
 	"sddict/internal/pattern"
 	"sddict/internal/sim"
 )
@@ -96,6 +97,9 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	sp := obs.SpanFrom(ctx)
+	sp.BeginStage("atpg.detect")
+	defer sp.EndStage()
 	if cfg.NDetect < 1 {
 		cfg.NDetect = 1
 	}

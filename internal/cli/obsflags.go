@@ -107,6 +107,11 @@ func (f *ObsFlags) Start() (*ObsSession, error) {
 		s.stopPprof = stop
 	}
 	s.Observer = &obs.Observer{Metrics: m, Trace: tr, Progress: pg}
+	if tr != nil {
+		// Build spans always emit; their observer carries no metrics, so
+		// they leave the serve_spans counter alone.
+		s.Observer.Spans = obs.NewSpans(&obs.Observer{Trace: tr}, time.Now, obs.SpanOptions{Sample: 1})
+	}
 	return s, nil
 }
 

@@ -134,6 +134,11 @@ func BuildSameDiffCtx(ctx context.Context, m *resp.Matrix, opt Options) (*Dictio
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// The build span's stages: proc1 (with the restart search's
+	// checkpoints), proc2, minimize.
+	sp := obs.SpanFrom(ctx)
+	sp.BeginStage("proc1")
+	defer sp.EndStage()
 	st.IndistFull = NewFull(m).Indistinguished()
 
 	maxRestarts := opt.MaxRestarts
@@ -258,6 +263,7 @@ func BuildSameDiffCtx(ctx context.Context, m *resp.Matrix, opt Options) (*Dictio
 	}
 	st.IndistProc1 = bestIndist
 	st.IndistProc2 = bestIndist
+	sp.BeginStage("proc2")
 
 	// Procedure 2 on the Procedure 1 winner. Replacements are individually
 	// monotone, so an interrupted sweep still leaves valid baselines no
@@ -287,6 +293,7 @@ func BuildSameDiffCtx(ctx context.Context, m *resp.Matrix, opt Options) (*Dictio
 	st.IndistFinal = bestIndist
 	st.ReachedFullFloor = bestIndist == st.IndistFull
 
+	sp.BeginStage("minimize")
 	d := &Dictionary{Kind: SameDiff, M: m, Baselines: bestBase}
 	if opt.MinimizeStorage && ctx.Err() == nil {
 		st.MinimizedSaved = minimizeStorage(m, bestBase)

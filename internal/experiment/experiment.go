@@ -165,7 +165,10 @@ type Row struct {
 	SizeSDMinimized int64 // k·n + stored·m
 	Coverage        float64
 	BuildStats      core.BuildStats
-	Elapsed         time.Duration
+	// Elapsed is the row's wall time from netlist to dictionary, test
+	// generation included. The sweep and RunProfileRowCtx set it;
+	// BuildRowCtx, which sees only the back half, leaves it zero.
+	Elapsed time.Duration
 	// Status reports whether the dictionary search ran to completion or
 	// was interrupted (see RowStatus).
 	Status RowStatus
@@ -207,13 +210,6 @@ func dictOptions(seed int64, effort float64) core.Options {
 	return opt
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // PrepareProfile synthesizes the named circuit profile and generates the
 // requested test set, returning the prepared pipeline state.
 func PrepareProfile(name string, tt TestSetType, cfg Config) (*Prepared, error) {
@@ -223,11 +219,14 @@ func PrepareProfile(name string, tt TestSetType, cfg Config) (*Prepared, error) 
 // PrepareProfileCtx is PrepareProfile under a context.
 func PrepareProfileCtx(ctx context.Context, name string, tt TestSetType, cfg Config) (pr *Prepared, err error) {
 	defer recoverStage(StageSynthesize, name, &err)
+	sp := obs.SpanFrom(ctx)
+	sp.BeginStage("gen")
 	p, err := gen.Named(name)
 	if err != nil {
 		return nil, err
 	}
 	seq := p.MustGenerate(cfg.Seed + 1)
+	sp.EndStage()
 	return PrepareCtx(ctx, seq, tt, cfg)
 }
 
@@ -247,8 +246,11 @@ func PrepareCtx(ctx context.Context, c *netlist.Circuit, tt TestSetType, cfg Con
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	sp := obs.SpanFrom(ctx)
+	sp.BeginStage("collapse")
 	comb := netlist.Combinationalize(c)
 	col := fault.Collapse(comb)
+	sp.EndStage()
 	effort := cfg.Effort
 	if effort <= 0 {
 		effort = scaledEffort(comb.NumLogicGates())
@@ -352,7 +354,6 @@ func BuildRowCtx(ctx context.Context, pr *Prepared, tt TestSetType, cfg Config) 
 		name = circuitName(pr.Circuit)
 	}
 	defer recoverStage(StageDictionary, name, &err)
-	start := time.Now()
 	effort := cfg.Effort
 	if effort <= 0 {
 		effort = scaledEffort(pr.Circuit.NumLogicGates())
@@ -423,7 +424,6 @@ func BuildRowCtx(ctx context.Context, pr *Prepared, tt TestSetType, cfg Config) 
 		// Clean completion: the checkpoint is stale state now.
 		os.Remove(cfg.CheckpointPath)
 	}
-	row.Elapsed = time.Since(start)
 	if saveErr != nil {
 		return row, &StageError{Stage: StageDictionary, Circuit: pr.Circuit.Name,
 			Err: fmt.Errorf("checkpoint save: %w", saveErr)}
@@ -440,6 +440,7 @@ func RunProfileRow(name string, tt TestSetType, cfg Config) (Row, error) {
 // test generation errors out, cancellation during dictionary construction
 // yields a best-so-far Row with Status RowInterrupted.
 func RunProfileRowCtx(ctx context.Context, name string, tt TestSetType, cfg Config) (Row, error) {
+	start := time.Now()
 	pr, err := PrepareProfileCtx(ctx, name, tt, cfg)
 	if err != nil {
 		return Row{}, err
@@ -449,5 +450,6 @@ func RunProfileRowCtx(ctx context.Context, name string, tt TestSetType, cfg Conf
 		return row, err
 	}
 	row.Circuit = name
+	row.Elapsed = time.Since(start)
 	return row, nil
 }

@@ -36,12 +36,20 @@ type RowResult struct {
 // rowLabel names a row in traces and scoped metrics.
 func rowLabel(sp RowSpec) string { return sp.Circuit + "/" + string(sp.TType) }
 
-// runSpec executes one full pipeline row under the row's scoped observer.
-// Panics inside the pipeline are already converted to *StageError by the
+// runSpec executes one full pipeline row under the row's scoped observer
+// and its root span, timing the whole row into Row.Elapsed. Panics
+// inside the pipeline are already converted to *StageError by the
 // recoverStage defers in PrepareProfileCtx and BuildRowCtx, so a worker
 // running this task can only propagate a panic from outside the pipeline
 // proper.
-func runSpec(ctx context.Context, sp RowSpec, ob *obs.Observer) RowResult {
+func runSpec(ctx context.Context, sp RowSpec, ob *obs.Observer) (res RowResult) {
+	start := time.Now()
+	span := ob.StartSpan(rowLabel(sp))
+	ctx = obs.ContextWithSpan(ctx, span)
+	defer func() {
+		res.Row.Elapsed = time.Since(start)
+		span.EndBuild(ctx, res.Err)
+	}()
 	rob := ob.Scoped(rowLabel(sp))
 	if rob.Tracing() {
 		// Worker-side like restart_start: records real execution order.
@@ -50,7 +58,7 @@ func runSpec(ctx context.Context, sp RowSpec, ob *obs.Observer) RowResult {
 	if sp.Config.Obs == nil {
 		sp.Config.Obs = rob
 	}
-	res := RowResult{Spec: sp, ob: rob}
+	res = RowResult{Spec: sp, ob: rob}
 	pr, err := PrepareProfileCtx(ctx, sp.Circuit, sp.TType, sp.Config)
 	if err != nil {
 		res.Err = err
@@ -94,7 +102,6 @@ func RunSweepCtx(ctx context.Context, workers int, specs []RowSpec, observe func
 func RunSweepObsCtx(ctx context.Context, workers int, specs []RowSpec, ob *obs.Observer, observe func(i int, res RowResult)) []RowResult {
 	results := make([]RowResult, 0, len(specs))
 	pool := par.New(workers)
-	start := time.Now()
 	par.Stream(ctx, pool, len(specs), func(ctx context.Context, i int) RowResult {
 		return runSpec(ctx, specs[i], ob)
 	}, func(i int, res RowResult) bool {
@@ -117,7 +124,6 @@ func RunSweepObsCtx(ctx context.Context, workers int, specs []RowSpec, ob *obs.O
 			f := map[string]any{
 				"row": rowLabel(res.Spec), "index": i,
 				"status": string(res.Row.Status), "ok": res.Err == nil,
-				"elapsed_ms": time.Since(start).Milliseconds(),
 			}
 			if res.Err != nil {
 				f["error"] = res.Err.Error()

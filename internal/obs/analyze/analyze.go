@@ -1,10 +1,10 @@
 // Package analyze is the read side of the observability layer: it
 // parses the JSONL build-event traces and metrics snapshots the
 // pipeline writes (DESIGN.md §10) and derives the statistics an
-// operator tunes the paper's knobs by — per-phase wall-clock breakdown,
-// the restart-convergence curve the CALLS1 stopping rule saturates
-// along, the speculation-waste ratio of the parallel restart search,
-// checkpoint cadence, and histogram percentile summaries.
+// operator tunes the paper's knobs by — the per-stage breakdown of the
+// build spans, the restart-convergence curve the CALLS1 stopping rule
+// saturates along, the speculation-waste ratio of the parallel restart
+// search, checkpoint cadence, and histogram percentile summaries.
 //
 // Everything here is pure computation over already-recorded telemetry:
 // the package opens no files, starts no goroutines, and prints nothing
@@ -13,52 +13,12 @@
 package analyze
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
 	"sddict/internal/obs"
 )
-
-// Worker-side event types (DESIGN.md §10): they record speculative
-// execution order, so they are excluded from the fold-ordered timeline
-// and counted instead as speculation.
-func workerSide(typ string) bool { return typ == "restart_start" || typ == "row_start" }
-
-// phaseOf maps a fold-ordered event type to the phase that produced the
-// wall-clock time leading up to it. The names are the report vocabulary.
-func phaseOf(typ string) string {
-	switch typ {
-	case "resp_build":
-		return "response capture"
-	case "build_start", "checkpoint_load":
-		return "setup"
-	case "restart_end":
-		return "restart search"
-	case "proc2_sweep":
-		return "procedure 2"
-	case "checkpoint_save":
-		return "checkpointing"
-	case "build_end", "row_end":
-		return "finish"
-	default:
-		return "other"
-	}
-}
-
-// phaseOrder fixes the rendering and JSON order of phases: pipeline
-// order, then the catch-all.
-var phaseOrder = []string{
-	"setup", "response capture", "restart search", "procedure 2",
-	"checkpointing", "finish", "other",
-}
-
-// PhaseSpan is the wall-clock total attributed to one phase.
-type PhaseSpan struct {
-	Phase string `json:"phase"`
-	Ms    int64  `json:"ms"`
-	// Events is the number of fold-ordered events attributed to the phase.
-	Events int `json:"events"`
-}
 
 // ConvergencePoint is one folded Procedure 1 restart: the score it
 // achieved and the best score after folding it — the paper's
@@ -99,8 +59,9 @@ type CheckpointStats struct {
 	// MeanRestartsBetween is the mean restart-count delta between
 	// consecutive saves.
 	MeanRestartsBetween float64 `json:"mean_restarts_between"`
-	// EndsOnSave reports whether the trace's final event is a
-	// checkpoint_save — the invariant every interrupted build must hold.
+	// EndsOnSave reports whether the trace's final event, before the
+	// root span that closes the run, is a checkpoint_save — the
+	// invariant every interrupted build must hold.
 	EndsOnSave bool `json:"ends_on_save"`
 }
 
@@ -120,7 +81,8 @@ type BuildInfo struct {
 	Completed bool `json:"completed"`
 }
 
-// RowSummary is one delivered sweep row (table6 traces).
+// RowSummary is one delivered sweep row (table6 traces). ElapsedMs is
+// the duration of the row's root span.
 type RowSummary struct {
 	Index     int    `json:"index"`
 	Row       string `json:"row"`
@@ -130,45 +92,48 @@ type RowSummary struct {
 	Error     string `json:"error,omitempty"`
 }
 
-// Run is the reconstructed timeline of one trace file plus, when
+// Run is the analysis of one build trace file plus, when
 // AttachMetrics was called, the percentile summaries of its metrics
 // snapshot. It is the machine-readable form of the sddstat report.
 type Run struct {
 	Events     int   `json:"events"`
 	DurationMs int64 `json:"duration_ms"`
 	// Builds counts build_start events: an append-mode trace extended
-	// across reruns holds several builds; the timeline aggregates them
-	// and Build describes the last.
+	// across reruns holds several builds; the stage breakdown aggregates
+	// them and Build describes the last.
 	Builds int `json:"builds"`
+	// Spans counts the root build spans (one per sdd run or sweep row).
+	Spans int `json:"spans"`
 	// Truncated is set when the trace ended mid-event (crash/SIGKILL
 	// tore the final write); the analysis covers the parsed prefix.
 	Truncated bool `json:"truncated,omitempty"`
 
-	Build       BuildInfo          `json:"build"`
-	Phases      []PhaseSpan        `json:"phases"`
-	Convergence []ConvergencePoint `json:"convergence,omitempty"`
-	Speculation SpeculationStats   `json:"speculation"`
-	Checkpoints CheckpointStats    `json:"checkpoints"`
-	Rows        []RowSummary       `json:"rows,omitempty"`
+	Build BuildInfo `json:"build"`
+	// Stages breaks the build spans' time down by pipeline stage;
+	// NestingViolations counts stage intervals escaping their span.
+	Stages            []StageStats       `json:"stages,omitempty"`
+	NestingViolations int                `json:"nesting_violations"`
+	Convergence       []ConvergencePoint `json:"convergence,omitempty"`
+	Speculation       SpeculationStats   `json:"speculation"`
+	Checkpoints       CheckpointStats    `json:"checkpoints"`
+	Rows              []RowSummary       `json:"rows,omitempty"`
 
 	// Metrics and Percentiles are populated by AttachMetrics.
 	Metrics     *obs.Snapshot                `json:"metrics,omitempty"`
 	Percentiles map[string]PercentileSummary `json:"percentiles,omitempty"`
 }
 
-// Analyze reconstructs the build timeline from a parsed event stream.
-// It is a pure function of the events; an empty trace is an error, any
-// non-empty one analyzes (unknown event types land in the "other"
-// phase, so newer traces degrade instead of failing).
+// Analyze reconstructs a build trace from a parsed event stream. It is
+// a pure function of the events: an empty trace, or one whose builds
+// were written under another schema version, is an error; any other
+// trace analyzes (unknown event types are ignored).
 func Analyze(events []obs.Event) (*Run, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("analyze: empty trace")
 	}
 	r := &Run{Events: len(events)}
 
-	phaseMs := map[string]int64{}
-	phaseEvents := map[string]int{}
-	var prevMs int64
+	var spans []Span
 	var lastSaveMs, firstSaveMs int64
 	var lastSaveRestarts, firstSaveRestarts float64
 	best := map[string]int64{} // per-row best, for Improved recomputation safety
@@ -183,22 +148,8 @@ func Analyze(events []obs.Event) (*Run, error) {
 			r.Speculation.RestartsStarted++
 		case "row_start":
 			r.Speculation.RowsStarted++
-		}
-		if workerSide(ev.Type) {
-			continue
-		}
-
-		// Timeline attribution: the gap since the previous fold-ordered
-		// event belongs to the phase that ends at this one. An append-mode
-		// trace restarts t_ms at 0 on each rerun; the clamp keeps those
-		// seams from producing negative spans.
-		if d := ev.TMs - prevMs; d > 0 {
-			phaseMs[phaseOf(ev.Type)] += d
-		}
-		prevMs = ev.TMs
-		phaseEvents[phaseOf(ev.Type)]++
-
-		switch ev.Type {
+		case "span":
+			spans = append(spans, spanFromFields(ev.Fields))
 		case "build_start":
 			r.Builds++
 			r.Build = BuildInfo{
@@ -208,6 +159,10 @@ func Analyze(events []obs.Event) (*Run, error) {
 				Seed:       fieldInt64(ev.Fields, "seed"),
 				Workers:    fieldInt(ev.Fields, "workers"),
 				IndistFull: fieldInt64(ev.Fields, "indist_full"),
+			}
+			if v := r.Build.Schema; v != obs.TraceSchemaVersion {
+				return nil, fmt.Errorf("analyze: trace is schema v%d; this sddstat reads only v%d — re-record it with the current sdd or table6 -trace-out",
+					v, obs.TraceSchemaVersion)
 			}
 		case "build_end":
 			r.Build.Completed = true
@@ -241,11 +196,7 @@ func Analyze(events []obs.Event) (*Run, error) {
 		case "checkpoint_load":
 			r.Checkpoints.Loads++
 		case "row_end":
-			rs := RowSummary{
-				Index:     fieldInt(ev.Fields, "index"),
-				Row:       row,
-				ElapsedMs: fieldInt64(ev.Fields, "elapsed_ms"),
-			}
+			rs := RowSummary{Index: fieldInt(ev.Fields, "index"), Row: row}
 			rs.Status, _ = ev.Fields["status"].(string)
 			rs.OK, _ = ev.Fields["ok"].(bool)
 			rs.Error, _ = ev.Fields["error"].(string)
@@ -270,28 +221,42 @@ func Analyze(events []obs.Event) (*Run, error) {
 		cs.MeanIntervalMs = float64(lastSaveMs-firstSaveMs) / n
 		cs.MeanRestartsBetween = (lastSaveRestarts - firstSaveRestarts) / n
 	}
-	r.Checkpoints.EndsOnSave = events[len(events)-1].Type == "checkpoint_save"
+	last := events[len(events)-1]
+	if last.Type == "span" && len(events) > 1 {
+		last = events[len(events)-2]
+	}
+	r.Checkpoints.EndsOnSave = last.Type == "checkpoint_save"
 
-	for _, name := range phaseOrder {
-		if ms, ok := phaseMs[name]; ok || phaseEvents[name] > 0 {
-			r.Phases = append(r.Phases, PhaseSpan{Phase: name, Ms: ms, Events: phaseEvents[name]})
-		}
+	r.Spans = len(spans)
+	r.Stages, r.NestingViolations = stageBreakdown(spans)
+	rowUs := map[string]int64{}
+	for _, sp := range spans {
+		rowUs[sp.Path] = sp.DurUs
+	}
+	for i := range r.Rows {
+		r.Rows[i].ElapsedMs = rowUs[r.Rows[i].Row] / 1000
 	}
 	return r, nil
 }
 
-// ReadRun reads a JSONL trace and analyzes it. A trace torn mid-write
-// (obs.ErrTruncatedTrace) is analyzed from its parsed prefix with
-// Run.Truncated set — post-mortems on crashed runs are exactly when
-// this tooling earns its keep. Other parse errors fail.
+// readEvents parses a trace. A trace torn mid-write (the writer crashed
+// or was SIGKILLed) yields its parsed prefix with truncated set:
+// post-mortems on dead runs are exactly when this tooling earns its
+// keep. Any other parse error fails.
+func readEvents(r io.Reader) (events []obs.Event, truncated bool, err error) {
+	events, err = obs.ReadEvents(r)
+	if errors.Is(err, obs.ErrTruncatedTrace) {
+		return events, true, nil
+	}
+	return events, false, err
+}
+
+// ReadRun reads a JSONL trace and analyzes it; a trace torn mid-write
+// analyzes its parsed prefix with Run.Truncated set (see readEvents).
 func ReadRun(r io.Reader) (*Run, error) {
-	events, err := obs.ReadEvents(r)
-	truncated := false
+	events, truncated, err := readEvents(r)
 	if err != nil {
-		if !isTruncated(err) {
-			return nil, fmt.Errorf("analyze: %w", err)
-		}
-		truncated = true
+		return nil, fmt.Errorf("analyze: %w", err)
 	}
 	run, err := Analyze(events)
 	if err != nil {

@@ -10,10 +10,9 @@ import (
 )
 
 // buildTrace emits a synthetic but schema-faithful single-build trace:
-// response capture, three folded restarts (one of four started on
-// workers is discarded speculation), two checkpoints, one Procedure 2
-// sweep, clean build_end. The clock is scripted so every phase span is
-// exact.
+// three folded restarts (one of four started on workers is discarded
+// speculation), two checkpoints, one Procedure 2 sweep, the root build
+// span, clean build_end. The clock is scripted so every stage is exact.
 func buildTrace(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -21,10 +20,14 @@ func buildTrace(t *testing.T) []byte {
 	clock := func() time.Time { return now }
 	at := func(ms int64) { now = time.Unix(0, 0).Add(time.Duration(ms) * time.Millisecond) }
 	tr := obs.NewTracer(&buf, clock)
+	spans := obs.NewSpans(&obs.Observer{Trace: tr}, clock, obs.SpanOptions{Sample: 1})
+	span := spans.Start("BUILD", "s27/diag", "")
+	span.BeginStage("atpg.detect")
 
 	at(100)
-	tr.Emit("resp_build", map[string]any{"faults": 50, "tests": 10})
+	span.BeginStage("resp")
 	at(120)
+	span.BeginStage("proc1")
 	tr.Emit("build_start", map[string]any{
 		"schema": obs.TraceSchemaVersion, "faults": 50, "tests": 10,
 		"seed": 7, "workers": 2, "indist_full": 3,
@@ -43,9 +46,12 @@ func buildTrace(t *testing.T) []byte {
 	tr.Emit("checkpoint_save", map[string]any{"restarts": 2, "best_indist": 8, "persisted": true})
 	at(900)
 	tr.Emit("restart_end", map[string]any{"restart": 2, "indist": 9, "best": 8, "improved": false})
+	span.BeginStage("proc2")
 	at(1000)
 	tr.Emit("proc2_sweep", map[string]any{"sweep": 1, "indist": 7})
+	span.BeginStage("minimize")
 	at(1100)
+	spans.End(span) // before build_end, so the trace still ends on it
 	tr.Emit("build_end", map[string]any{"indist": 7, "restarts": 3, "interrupted": false})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -80,22 +86,27 @@ func TestAnalyzeTimeline(t *testing.T) {
 		t.Errorf("build end = %+v", b)
 	}
 
-	wantPhases := map[string]int64{
-		"response capture": 100, // 0 -> 100
-		"setup":            20,  // 100 -> 120
-		"restart search":   740, // 380 + 280 + 80 (worker-side starts skipped)
-		"checkpointing":    40,  // 20 + 20
-		"procedure 2":      100, // 900 -> 1000
-		"finish":           100, // 1000 -> 1100
+	if run.Spans != 1 || run.NestingViolations != 0 {
+		t.Errorf("spans = %d, nesting violations = %d, want 1 and 0", run.Spans, run.NestingViolations)
+	}
+	wantStages := map[string]int64{ // microseconds
+		"atpg.detect": 100_000, // 0 -> 100ms
+		"resp":        20_000,  // 100 -> 120ms
+		"proc1":       780_000, // 120 -> 900ms, checkpoints included
+		"proc2":       100_000, // 900 -> 1000ms
+		"minimize":    100_000, // 1000 -> 1100ms
 	}
 	got := map[string]int64{}
-	for _, p := range run.Phases {
-		got[p.Phase] = p.Ms
+	for _, st := range run.Stages {
+		got[st.Name] = st.TotalUs
 	}
-	for name, ms := range wantPhases {
-		if got[name] != ms {
-			t.Errorf("phase %q = %dms, want %dms (all: %v)", name, got[name], ms, got)
+	for name, us := range wantStages {
+		if got[name] != us {
+			t.Errorf("stage %q = %dus, want %dus (all: %v)", name, got[name], us, got)
 		}
+	}
+	if len(got) != len(wantStages) || run.Stages[0].Name != "proc1" || run.Stages[0].Share != 780.0/1100 {
+		t.Errorf("stages = %+v, want the five above, proc1 heaviest at 780/1100", run.Stages)
 	}
 
 	if len(run.Convergence) != 3 {
@@ -174,9 +185,9 @@ func TestRunWriteTextReport(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"phase breakdown:",
-		"restart search",
-		"procedure 2",
+		"stage breakdown:",
+		"proc1",
+		"proc2",
 		"restart convergence (improvements only):",
 		"restart    0: best 10",
 		"speculation: 4 restarts started, 3 folded, 1 discarded (25.0% waste)",

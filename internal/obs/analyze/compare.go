@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strings"
 
 	"sddict/internal/obs"
@@ -85,20 +86,13 @@ func Compare(a, b obs.Snapshot, th Thresholds) *Comparison {
 		c.Deltas = append(c.Deltas, d)
 	}
 
-	for _, name := range unionKeys(a.Counters, b.Counters) {
+	for _, name := range sortedKeys(a.Counters, b.Counters) {
 		add(name, "counter", float64(a.Counters[name]), float64(b.Counters[name]), th.counterPct())
 	}
-	for _, name := range unionKeys(a.Gauges, b.Gauges) {
+	for _, name := range sortedKeys(a.Gauges, b.Gauges) {
 		add(name, "gauge", float64(a.Gauges[name]), float64(b.Gauges[name]), -1)
 	}
-	hists := map[string]struct{}{}
-	for name := range a.Histograms {
-		hists[name] = struct{}{}
-	}
-	for name := range b.Histograms {
-		hists[name] = struct{}{}
-	}
-	for _, name := range sortedSet(hists) {
+	for _, name := range sortedKeys(a.Histograms, b.Histograms) {
 		pa, pb := Summarize(a.Histograms[name]), Summarize(b.Histograms[name])
 		for _, q := range []struct {
 			suffix string
@@ -154,26 +148,18 @@ func formatSigned(pct float64) string {
 	return s + "%"
 }
 
-func unionKeys(a, b map[string]int64) []string {
-	set := map[string]struct{}{}
-	for k := range a {
-		set[k] = struct{}{}
+// sortedKeys returns the union of the maps' keys, sorted.
+func sortedKeys[V any](maps ...map[string]V) []string {
+	set := map[string]bool{}
+	for _, m := range maps {
+		for k := range m {
+			set[k] = true
+		}
 	}
-	for k := range b {
-		set[k] = struct{}{}
-	}
-	return sortedSet(set)
-}
-
-func sortedSet(set map[string]struct{}) []string {
 	keys := make([]string, 0, len(set))
 	for k := range set {
 		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	sort.Strings(keys)
 	return keys
 }

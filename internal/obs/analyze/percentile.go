@@ -1,13 +1,10 @@
 package analyze
 
 import (
-	"errors"
 	"math"
 
 	"sddict/internal/obs"
 )
-
-func isTruncated(err error) bool { return errors.Is(err, obs.ErrTruncatedTrace) }
 
 // PercentileSummary is the standard three-quantile digest of one
 // histogram.

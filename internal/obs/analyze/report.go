@@ -22,6 +22,8 @@ func (ew *errWriter) printf(format string, args ...any) {
 
 func ms(v int64) time.Duration { return time.Duration(v) * time.Millisecond }
 
+func us(v float64) time.Duration { return time.Duration(v) * time.Microsecond }
+
 // WriteText renders the run as the human-readable sddstat report. The
 // output is deterministic for a given run (fixed section and key order).
 func (r *Run) WriteText(w io.Writer) error {
@@ -52,14 +54,8 @@ func (r *Run) WriteText(w io.Writer) error {
 		}
 	}
 
-	ew.printf("phase breakdown:\n")
-	for _, p := range r.Phases {
-		pct := 0.0
-		if r.DurationMs > 0 {
-			pct = float64(p.Ms) / float64(r.DurationMs) * 100
-		}
-		ew.printf("  %-16s %10s  %5.1f%%  (%d events)\n", p.Phase, ms(p.Ms), pct, p.Events)
-	}
+	ew.printf("spans: %d, nesting violations %d\n", r.Spans, r.NestingViolations)
+	writeStages(ew, r.Stages)
 
 	if len(r.Convergence) > 0 {
 		ew.printf("restart convergence (improvements only):\n")
@@ -119,7 +115,7 @@ func (r *Run) WriteText(w io.Writer) error {
 
 	if len(r.Percentiles) > 0 {
 		ew.printf("histogram percentiles:\n")
-		for _, name := range sortedPercentileKeys(r.Percentiles) {
+		for _, name := range sortedKeys(r.Percentiles) {
 			p := r.Percentiles[name]
 			ew.printf("  %-16s n=%-6d p50=%-8.1f p90=%-8.1f p99=%.1f\n",
 				name, p.Count, p.P50, p.P90, p.P99)
@@ -131,17 +127,4 @@ func (r *Run) WriteText(w io.Writer) error {
 		}
 	}
 	return ew.err
-}
-
-func sortedPercentileKeys(m map[string]PercentileSummary) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }

@@ -8,65 +8,9 @@ package analyze
 // time in this stage".
 
 import (
-	"errors"
-	"fmt"
 	"io"
 	"sort"
-
-	"sddict/internal/obs"
 )
-
-// ServeStage is one child stage interval of a reconstructed span.
-type ServeStage struct {
-	Name    string `json:"name"`
-	StartUs int64  `json:"start_us"`
-	DurUs   int64  `json:"dur_us"`
-}
-
-// ServeSpan is one request span read back from the journal.
-type ServeSpan struct {
-	RequestID string       `json:"request_id"`
-	Parent    string       `json:"parent,omitempty"`
-	Method    string       `json:"method"`
-	Path      string       `json:"path"`
-	Status    int          `json:"status"`
-	DurUs     int64        `json:"dur_us"`
-	Sampled   bool         `json:"sampled"`
-	Slow      bool         `json:"slow,omitempty"`
-	Error     string       `json:"error,omitempty"`
-	Stages    []ServeStage `json:"stages,omitempty"`
-}
-
-// Exemplar ties a latency tail to a concrete request: the span journal
-// can then be grepped for the request ID directly.
-type Exemplar struct {
-	RequestID string `json:"request_id"`
-	Us        int64  `json:"us"`
-}
-
-// StageStats aggregates one stage name across every span. A batch
-// request contributes one sample per stage instance (one decode /
-// recall / scan / record cycle per observation), so Count can exceed
-// the span count.
-type StageStats struct {
-	Name    string            `json:"name"`
-	Count   int64             `json:"count"`
-	TotalUs int64             `json:"total_us"`
-	Pct     PercentileSummary `json:"percentiles"`
-	// Exemplars are the largest single stage instances, slowest first.
-	Exemplars []Exemplar `json:"exemplars,omitempty"`
-}
-
-// ClientRequest is one sddload client_request journal event.
-type ClientRequest struct {
-	RequestID string `json:"request_id"`
-	Us        int64  `json:"us"`       // final attempt latency
-	TotalUs   int64  `json:"total_us"` // including retries and backoff
-	Status    int    `json:"status"`
-	OK        bool   `json:"ok"`
-	Attempts  int    `json:"attempts"`
-	Error     string `json:"error,omitempty"`
-}
 
 // JoinedRequest couples the client's and the server's view of one
 // request ID.
@@ -117,78 +61,25 @@ type ServeRun struct {
 	NestingViolations int   `json:"nesting_violations"`
 	Join              *Join `json:"join,omitempty"`
 
-	spans []ServeSpan
+	spans []Span
 }
-
-// maxExemplars bounds every slowest-list in the report.
-const maxExemplars = 5
 
 // ReadServeRun reconstructs a ServeRun from a span journal. Like
 // ReadRun, a trace torn mid-write analyzes its parsed prefix with
 // Truncated set; any other read error is fatal.
 func ReadServeRun(r io.Reader) (*ServeRun, error) {
-	events, err := obs.ReadEvents(r)
-	truncated := false
+	events, truncated, err := readEvents(r)
 	if err != nil {
-		if !errors.Is(err, obs.ErrTruncatedTrace) {
-			return nil, err
-		}
-		truncated = true
+		return nil, err
 	}
 	run := &ServeRun{Truncated: truncated, Statuses: map[int]int{}}
 	for _, ev := range events {
-		if ev.Type != "span" {
-			continue
+		if ev.Type == "span" {
+			run.spans = append(run.spans, spanFromFields(ev.Fields))
 		}
-		run.spans = append(run.spans, spanFromFields(ev.Fields))
 	}
 	run.aggregate()
 	return run, nil
-}
-
-func fieldStr(fields map[string]any, key string) string {
-	s, _ := fields[key].(string)
-	return s
-}
-
-func fieldBool(fields map[string]any, key string) bool {
-	b, _ := fields[key].(bool)
-	return b
-}
-
-func spanFromFields(fields map[string]any) ServeSpan {
-	sp := ServeSpan{
-		RequestID: fieldStr(fields, "request_id"),
-		Parent:    fieldStr(fields, "parent"),
-		Method:    fieldStr(fields, "method"),
-		Path:      fieldStr(fields, "path"),
-		Status:    fieldInt(fields, "status"),
-		DurUs:     fieldInt64(fields, "dur_us"),
-		Sampled:   fieldBool(fields, "sampled"),
-		Slow:      fieldBool(fields, "slow"),
-		Error:     fieldStr(fields, "error"),
-	}
-	// Stages survive either as []any of maps (JSON round trip) or as
-	// the native []obs.Stage (freshly-emitted events in tests).
-	switch v := fields["stages"].(type) {
-	case []any:
-		for _, st := range v {
-			m, ok := st.(map[string]any)
-			if !ok {
-				continue
-			}
-			sp.Stages = append(sp.Stages, ServeStage{
-				Name:    fieldStr(m, "name"),
-				StartUs: fieldInt64(m, "start_us"),
-				DurUs:   fieldInt64(m, "dur_us"),
-			})
-		}
-	case []obs.Stage:
-		for _, st := range v {
-			sp.Stages = append(sp.Stages, ServeStage{Name: st.Name, StartUs: st.StartUs, DurUs: st.DurUs})
-		}
-	}
-	return sp
 }
 
 // aggregate computes the per-run rollups from the parsed spans.
@@ -196,12 +87,6 @@ func (r *ServeRun) aggregate() {
 	r.Spans = len(r.spans)
 	var durs []int64
 	var durIDs []Exemplar
-	type stageAgg struct {
-		vals      []int64
-		totalUs   int64
-		exemplars []Exemplar
-	}
-	stages := map[string]*stageAgg{}
 	for _, sp := range r.spans {
 		durs = append(durs, sp.DurUs)
 		durIDs = append(durIDs, Exemplar{RequestID: sp.RequestID, Us: sp.DurUs})
@@ -212,38 +97,10 @@ func (r *ServeRun) aggregate() {
 		if sp.Error != "" {
 			r.Errors++
 		}
-		for _, st := range sp.Stages {
-			if st.StartUs < 0 || st.StartUs+st.DurUs > sp.DurUs {
-				r.NestingViolations++
-			}
-			agg := stages[st.Name]
-			if agg == nil {
-				agg = &stageAgg{}
-				stages[st.Name] = agg
-			}
-			agg.vals = append(agg.vals, st.DurUs)
-			agg.totalUs += st.DurUs
-			agg.exemplars = append(agg.exemplars, Exemplar{RequestID: sp.RequestID, Us: st.DurUs})
-		}
 	}
 	r.Requests = percentilesOf(durs)
 	r.Exemplars = topExemplars(durIDs, maxExemplars)
-	for name, agg := range stages {
-		r.Stages = append(r.Stages, StageStats{
-			Name:      name,
-			Count:     int64(len(agg.vals)),
-			TotalUs:   agg.totalUs,
-			Pct:       percentilesOf(agg.vals),
-			Exemplars: topExemplars(agg.exemplars, maxExemplars),
-		})
-	}
-	// Heaviest stage first; name breaks ties so the report is stable.
-	sort.Slice(r.Stages, func(a, b int) bool {
-		if r.Stages[a].TotalUs != r.Stages[b].TotalUs {
-			return r.Stages[a].TotalUs > r.Stages[b].TotalUs
-		}
-		return r.Stages[a].Name < r.Stages[b].Name
-	})
+	r.Stages, r.NestingViolations = stageBreakdown(r.spans)
 }
 
 // JoinClient reads an sddload client journal and joins it against the
@@ -252,59 +109,45 @@ func (r *ServeRun) aggregate() {
 // client's final status — falling back to the last — represents the
 // server side.
 func (r *ServeRun) JoinClient(cr io.Reader) error {
-	events, err := obs.ReadEvents(cr)
-	if err != nil && !errors.Is(err, obs.ErrTruncatedTrace) {
+	events, _, err := readEvents(cr)
+	if err != nil {
 		return err
 	}
-	var clients []ClientRequest
-	for _, ev := range events {
-		if ev.Type != "client_request" {
-			continue
-		}
-		clients = append(clients, ClientRequest{
-			RequestID: fieldStr(ev.Fields, "request_id"),
-			Us:        fieldInt64(ev.Fields, "us"),
-			TotalUs:   fieldInt64(ev.Fields, "total_us"),
-			Status:    fieldInt(ev.Fields, "status"),
-			OK:        fieldBool(ev.Fields, "ok"),
-			Attempts:  fieldInt(ev.Fields, "attempts"),
-			Error:     fieldStr(ev.Fields, "error"),
-		})
-	}
-
-	byID := map[string][]ServeSpan{}
+	byID := map[string][]Span{}
 	for _, sp := range r.spans {
 		byID[sp.RequestID] = append(byID[sp.RequestID], sp)
 	}
 	join := &Join{}
 	claimed := map[string]bool{}
 	var overheads []int64
-	for _, c := range clients {
-		spans, ok := byID[c.RequestID]
+	for _, ev := range events {
+		if ev.Type != "client_request" {
+			continue
+		}
+		// us is the final attempt's latency, the one a span can explain.
+		id, us, status := fieldStr(ev.Fields, "request_id"), fieldInt64(ev.Fields, "us"), fieldInt(ev.Fields, "status")
+		spans, ok := byID[id]
 		if !ok {
 			join.ClientOnly++
 			continue
 		}
-		claimed[c.RequestID] = true
+		claimed[id] = true
 		sp := spans[len(spans)-1]
 		for _, cand := range spans {
-			if cand.Status == c.Status {
+			if cand.Status == status {
 				sp = cand
 			}
 		}
-		overhead := c.Us - sp.DurUs
-		if overhead < 0 {
-			overhead = 0
-		}
+		overhead := max(us-sp.DurUs, 0)
 		join.Joined++
 		overheads = append(overheads, overhead)
 		join.Slowest = append(join.Slowest, JoinedRequest{
-			RequestID:  c.RequestID,
-			ClientUs:   c.Us,
+			RequestID:  id,
+			ClientUs:   us,
 			ServerUs:   sp.DurUs,
 			OverheadUs: overhead,
-			Status:     c.Status,
-			Attempts:   c.Attempts,
+			Status:     status,
+			Attempts:   fieldInt(ev.Fields, "attempts"),
 		})
 	}
 	for id := range byID {
@@ -371,81 +214,47 @@ func topExemplars(ex []Exemplar, n int) []Exemplar {
 
 // WriteText renders the serve report.
 func (r *ServeRun) WriteText(w io.Writer) error {
+	ew := &errWriter{w: w}
 	status := "clean"
 	if r.Truncated {
 		status = "TRUNCATED (analyzing prefix)"
 	}
-	if _, err := fmt.Fprintf(w, "serve span journal: %d spans, %s\n", r.Spans, status); err != nil {
-		return err
-	}
+	ew.printf("serve span journal: %d spans, %s\n", r.Spans, status)
 	if r.Spans == 0 {
-		_, err := fmt.Fprintln(w, "  no spans journaled (is -trace-sample 0 with no slow/failed requests?)")
-		return err
+		ew.printf("  no spans journaled (is -trace-sample 0 with no slow/failed requests?)\n")
+		return ew.err
 	}
-	if _, err := fmt.Fprintf(w, "  requests: count=%d p50=%.0fus p90=%.0fus p99=%.0fus\n",
-		r.Requests.Count, r.Requests.P50, r.Requests.P90, r.Requests.P99); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "  statuses:"); err != nil {
-		return err
-	}
+	ew.printf("  requests: count=%d p50=%.0fus p90=%.0fus p99=%.0fus\n",
+		r.Requests.Count, r.Requests.P50, r.Requests.P90, r.Requests.P99)
+	ew.printf("  statuses:")
 	var codes []int
 	for code := range r.Statuses {
 		codes = append(codes, code)
 	}
 	sort.Ints(codes)
 	for _, code := range codes {
-		if _, err := fmt.Fprintf(w, " %d=%d", code, r.Statuses[code]); err != nil {
-			return err
-		}
+		ew.printf(" %d=%d", code, r.Statuses[code])
 	}
-	if _, err := fmt.Fprintf(w, "  slow=%d errors=%d nesting_violations=%d\n",
-		r.SlowCount, r.Errors, r.NestingViolations); err != nil {
-		return err
-	}
+	ew.printf("  slow=%d errors=%d nesting_violations=%d\n", r.SlowCount, r.Errors, r.NestingViolations)
 
-	if _, err := fmt.Fprintln(w, "stage breakdown:"); err != nil {
-		return err
-	}
-	for _, st := range r.Stages {
-		if _, err := fmt.Fprintf(w, "  %-8s count=%d total=%dus p50=%.0fus p90=%.0fus p99=%.0fus\n",
-			st.Name, st.Count, st.TotalUs, st.Pct.P50, st.Pct.P90, st.Pct.P99); err != nil {
-			return err
-		}
-		for _, ex := range st.Exemplars {
-			if _, err := fmt.Fprintf(w, "           slowest %s %dus\n", ex.RequestID, ex.Us); err != nil {
-				return err
-			}
-		}
-	}
+	writeStages(ew, r.Stages)
 	if len(r.Exemplars) > 0 {
-		if _, err := fmt.Fprintln(w, "slowest requests:"); err != nil {
-			return err
-		}
+		ew.printf("slowest requests:\n")
 		for _, ex := range r.Exemplars {
-			if _, err := fmt.Fprintf(w, "  %s %dus\n", ex.RequestID, ex.Us); err != nil {
-				return err
-			}
+			ew.printf("  %s %dus\n", ex.RequestID, ex.Us)
 		}
 	}
 
-	if r.Join != nil {
-		if _, err := fmt.Fprintf(w, "client join: joined=%d client_only=%d server_only=%d\n",
-			r.Join.Joined, r.Join.ClientOnly, r.Join.ServerOnly); err != nil {
-			return err
-		}
-		if r.Join.Joined > 0 {
-			if _, err := fmt.Fprintf(w, "  overhead_us (client-observed minus server span): p50=%.0f p90=%.0f p99=%.0f\n",
-				r.Join.Overhead.P50, r.Join.Overhead.P90, r.Join.Overhead.P99); err != nil {
-				return err
-			}
-			for _, j := range r.Join.Slowest {
-				if _, err := fmt.Fprintf(w, "  slowest %s client=%dus server=%dus overhead=%dus status=%d attempts=%d\n",
-					j.RequestID, j.ClientUs, j.ServerUs, j.OverheadUs, j.Status, j.Attempts); err != nil {
-					return err
-				}
+	if j := r.Join; j != nil {
+		ew.printf("client join: joined=%d client_only=%d server_only=%d\n", j.Joined, j.ClientOnly, j.ServerOnly)
+		if j.Joined > 0 {
+			ew.printf("  overhead_us (client-observed minus server span): p50=%.0f p90=%.0f p99=%.0f\n",
+				j.Overhead.P50, j.Overhead.P90, j.Overhead.P99)
+			for _, jr := range j.Slowest {
+				ew.printf("  slowest %s client=%dus server=%dus overhead=%dus status=%d attempts=%d\n",
+					jr.RequestID, jr.ClientUs, jr.ServerUs, jr.OverheadUs, jr.Status, jr.Attempts)
 			}
 		}
 	}
-	return nil
+	return ew.err
 }

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"sort"
 	"sync/atomic"
 )
 
@@ -376,12 +377,7 @@ func sortedKeys(m map[string]int64) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	// Insertion sort: the key sets are tiny and fixed.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	sort.Strings(keys)
 	return keys
 }
 
@@ -397,6 +393,20 @@ type Observer struct {
 	// "row" field; sweep drivers label per-row scopes with it so
 	// interleaved events stay attributable.
 	Label string
+	// Spans, when set, is the span layer each build (one sdd run, one
+	// sweep row) opens its root span on; the commands attach one
+	// whenever a trace is written.
+	Spans *Spans
+}
+
+// StartSpan opens the root span of one build, named by its row label
+// ("s298/diag"). It returns nil — the no-op span — unless o carries a
+// span layer.
+func (o *Observer) StartSpan(label string) *Span {
+	if o == nil {
+		return nil
+	}
+	return o.Spans.Start("BUILD", label, "")
 }
 
 // M returns the observer's metrics registry (nil when unobserved);

@@ -1,12 +1,13 @@
 package obs
 
-// Request-scoped tracing for the serve path (DESIGN.md §16): where the
-// build path records a timeline of *one* computation, a server handles
+// Span tracing (DESIGN.md §10, §16): a Span is one unit of work — a
+// served request, or one build (an sdd run or a table6 sweep row) — with
+// sequential child stages (decode, parse, scan, ... for a request; gen,
+// atpg.detect, resp, proc1, ... for a build), flushed to the durable
+// JSONL tracer as a single `span` event when it ends. A server handles
 // many concurrent requests, and "the p99 spiked" is useless without
-// knowing which request was slow and where inside it the time went.
-// This file adds that unit of analysis: a request Span with child stage
-// spans (decode, recall, scan, record), flushed to the existing durable
-// JSONL tracer as a single `span` event when the request ends.
+// knowing which request was slow and where inside it the time went; a
+// build needs the same answer for its layers.
 //
 // Three properties shape the design:
 //
@@ -54,10 +55,10 @@ type SpanOptions struct {
 	Slow time.Duration
 }
 
-// Spans tracks the request spans of one server: it assigns request IDs,
-// applies the sampling decision, keeps the in-flight set (the
-// /debug/requests dump), and recycles ended spans through a free list
-// so the unsampled path allocates nothing.
+// Spans tracks the spans of one server or command: it assigns request
+// IDs, applies the sampling decision, keeps the in-flight set (the
+// /debug/requests dump), and recycles ended spans through a free list so
+// the unsampled path allocates nothing.
 type Spans struct {
 	ob    *Observer
 	clock func() time.Time
@@ -140,9 +141,9 @@ func Sampled(id string, rate float64) bool {
 	return sampleFraction(id) < rate
 }
 
-// Stage is one child stage span of a request: a named interval,
-// expressed relative to the request span's start so nesting is evident
-// from the record alone.
+// Stage is one child stage of a span: a named interval, expressed
+// relative to the span's start so nesting is evident from the record
+// alone.
 type Stage struct {
 	Name    string `json:"name"`
 	StartUs int64  `json:"start_us"`
@@ -150,15 +151,15 @@ type Stage struct {
 }
 
 // spanStages is the inline stage capacity: a single-observation
-// diagnosis uses four (decode, recall, scan, record), so eight covers
-// small batches without allocating; larger batches spill to the heap,
-// which is fine — big batches are not the zero-alloc path.
+// diagnosis uses at most seven (decode, load, parse, recall, scan,
+// record, encode), so eight needs no allocation; batches and builds
+// spill to the heap, which is fine — they are not the zero-alloc path.
 const spanStages = 8
 
-// Span is one in-flight (or just-ended) request. All mutating methods
-// and the /debug/requests snapshot synchronize on the owning Spans
-// mutex; a nil Span is a no-op throughout, so handlers instrument
-// unconditionally.
+// Span is one in-flight (or just-ended) request or build. All mutating
+// methods and the /debug/requests snapshot synchronize on the owning
+// Spans mutex; a nil Span is a no-op throughout, so handlers and layers
+// instrument unconditionally.
 type Span struct {
 	owner *Spans
 	seq   int64
@@ -172,6 +173,8 @@ type Span struct {
 	start   time.Time
 	status  int
 	errMsg  string
+	// interrupted marks a build span whose context ended first.
+	interrupted bool
 
 	stageName  string // open stage ("" when none)
 	stageStart time.Time
@@ -268,6 +271,9 @@ func (sp *Spans) End(s *Span) {
 		if s.errMsg != "" {
 			fields["error"] = s.errMsg
 		}
+		if s.interrupted {
+			fields["interrupted"] = true
+		}
 		if len(s.stages) > 0 {
 			fields["stages"] = append([]Stage(nil), s.stages...)
 		}
@@ -285,6 +291,22 @@ func (sp *Spans) End(s *Span) {
 		sp.ob.M().Inc(ServeSpans)
 		sp.ob.Emit("span", fields)
 	}
+}
+
+// EndBuild closes a build span: marked interrupted when ctx ended
+// first, failed (status 500) when err is non-nil.
+func (s *Span) EndBuild(ctx context.Context, err error) {
+	if s == nil {
+		return
+	}
+	s.owner.mu.Lock()
+	if ctx.Err() != nil {
+		s.interrupted = true
+	} else if err != nil {
+		s.status, s.errMsg = 500, err.Error()
+	}
+	s.owner.mu.Unlock()
+	s.owner.End(s)
 }
 
 // RequestID returns the span's request ID ("" on nil) — what the
@@ -502,15 +524,18 @@ func allZero(s string) bool {
 type spanCtxKey struct{}
 
 // ContextWithSpan attaches s to ctx so downstream layers (handlers,
-// internal/casestore's record hook) can open stage spans without
-// plumbing a new parameter through every signature.
+// internal/casestore's record hook, the build pipeline's layers) can
+// open stages without plumbing a new parameter through every signature.
 func ContextWithSpan(ctx context.Context, s *Span) context.Context {
 	return context.WithValue(ctx, spanCtxKey{}, s)
 }
 
-// SpanFrom returns the request span carried by ctx, or nil — and nil is
-// a fully functional no-op span, per the package contract.
+// SpanFrom returns the span carried by ctx, or nil — and nil is a fully
+// functional no-op span, per the package contract.
 func SpanFrom(ctx context.Context) *Span {
+	if ctx == nil {
+		return nil
+	}
 	s, _ := ctx.Value(spanCtxKey{}).(*Span)
 	return s
 }

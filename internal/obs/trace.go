@@ -15,8 +15,9 @@ import (
 // TraceSchemaVersion is the version of the build-event vocabulary
 // documented in DESIGN.md §10. build_start events carry it as the
 // "schema" field so post-run tooling (cmd/sddstat) can refuse traces it
-// does not understand instead of misreading them.
-const TraceSchemaVersion = 1
+// does not understand instead of misreading them. Version 2 times each
+// build with a root span and its stages.
+const TraceSchemaVersion = 2
 
 // Event is one line of the build-event trace. Fields is marshalled with
 // encoding/json, which emits map keys sorted, so a trace produced from
@@ -28,8 +29,8 @@ type Event struct {
 	// read from the caller-supplied clock (0 without a clock).
 	TMs int64 `json:"t_ms"`
 	// Type names the event: build_start, restart_start, restart_end,
-	// proc2_sweep, checkpoint_load, checkpoint_save, resp_build,
-	// row_start, row_end, build_end.
+	// proc2_sweep, checkpoint_load, checkpoint_save, row_start, row_end,
+	// build_end, and span (a root build or request span with its stages).
 	Type   string         `json:"type"`
 	Fields map[string]any `json:"fields,omitempty"`
 }

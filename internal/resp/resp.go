@@ -170,14 +170,23 @@ type patternRow struct {
 // test's class ids are assigned by scanning effects in fault-index order,
 // so the matrix is byte-identical at every worker count (DESIGN.md §9).
 func BuildWorkersCtx(ctx context.Context, workers int, view *netlist.ScanView, faults []fault.Fault, tests *pattern.Set) (*Matrix, error) {
-	return BuildObsCtx(ctx, workers, view, faults, tests, nil)
+	return build(ctx, workers, view, faults, tests, nil)
 }
 
-// BuildObsCtx is BuildWorkersCtx with an observer. The batch loop is
-// serial, so per-batch observation is already ordered: the sim_batches
-// counter and resp_build trace events are identical at every worker
-// count, and the matrix itself is byte-identical with ob set or nil.
+// BuildObsCtx is BuildWorkersCtx with an observer, run as the build
+// span's "resp" stage when ctx carries one. The batch loop is serial, so
+// per-batch observation is already ordered: the sim_batches counter is
+// identical at every worker count, and the matrix itself is
+// byte-identical with ob set or nil. ATPG's own fault simulation goes
+// through BuildCtx and stays inside its atpg stage.
 func BuildObsCtx(ctx context.Context, workers int, view *netlist.ScanView, faults []fault.Fault, tests *pattern.Set, ob *obs.Observer) (*Matrix, error) {
+	sp := obs.SpanFrom(ctx)
+	sp.BeginStage("resp")
+	defer sp.EndStage()
+	return build(ctx, workers, view, faults, tests, ob)
+}
+
+func build(ctx context.Context, workers int, view *netlist.ScanView, faults []fault.Fault, tests *pattern.Set, ob *obs.Observer) (*Matrix, error) {
 	if tests.Width != view.NumInputs() {
 		panic(fmt.Sprintf("resp: test width %d != %d scan inputs", tests.Width, view.NumInputs()))
 	}
@@ -188,11 +197,6 @@ func BuildObsCtx(ctx context.Context, workers int, view *netlist.ScanView, fault
 	m.Class = make([][]int32, m.K)
 	m.Vecs = make([][]logic.BitVec, m.K)
 
-	if ob.Tracing() {
-		ob.Emit("resp_build", map[string]any{
-			"faults": m.N, "tests": m.K, "outputs": m.M, "workers": workers,
-		})
-	}
 	pool := par.New(workers)
 	s := sim.New(view)
 	goodWords := make([]logic.Word, m.M)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -65,10 +66,10 @@ func newRegistry(capacity int, fsys faultfs.FS, ob *obs.Observer) *registry {
 }
 
 // get returns the entry for path — pinned — loading (and caching) the
-// artifact on a miss. The returned entry is immutable after load, so
-// callers may use it outside the lock; they must unpin it when the
-// request is done.
-func (r *registry) get(path string) (*entry, error) {
+// artifact on a miss, as the "load" stage of the request span ctx
+// carries. The returned entry is immutable after load, so callers may
+// use it outside the lock; they must unpin it when the request is done.
+func (r *registry) get(ctx context.Context, path string) (*entry, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.entries[path]; ok {
@@ -78,6 +79,9 @@ func (r *registry) get(path string) (*entry, error) {
 		r.ob.M().Inc(obs.ServeDictHits)
 		return e, nil
 	}
+	sp := obs.SpanFrom(ctx)
+	sp.BeginStage("load")
+	defer sp.EndStage()
 	return r.loadLocked(path)
 }
 

@@ -456,12 +456,15 @@ type DiagnoseResponse struct {
 }
 
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
+	// Stages: decode (the body, once), load (a cold artifact only), then
+	// per observation parse/recall/scan/record, and encode (the reply).
 	sp := obs.SpanFrom(r.Context())
 	sp.BeginStage("decode")
 	var req DiagnoseRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	sp.EndStage()
 	if req.Dictionary == "" {
 		writeError(w, http.StatusBadRequest, "missing dictionary")
 		return
@@ -478,7 +481,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "no responses to diagnose")
 		return
 	}
-	e, err := s.reg.get(req.Dictionary)
+	e, err := s.reg.get(r.Context(), req.Dictionary)
 	if err != nil {
 		writeError(w, loadStatus(err), "%v", err)
 		return
@@ -512,11 +515,11 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		// Per-observation decode stage: a batch request shows one
-		// decode/recall/scan/record stage cycle per observation, which
-		// sddstat aggregates by stage name.
-		sp.BeginStage("decode")
+		// A batch request shows one parse/recall/scan/record stage cycle
+		// per observation, which sddstat aggregates by stage name.
+		sp.BeginStage("parse")
 		vectors, err := dictio.ParseVectors(lines, e.header.Outputs)
+		sp.EndStage()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "observation %d: %v", i+1, err)
 			return
@@ -528,7 +531,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results = append(resp.Results, res)
 	}
-	sp.EndStage()
+	sp.BeginStage("encode")
 	writeJSON(w, http.StatusOK, resp)
 }
 

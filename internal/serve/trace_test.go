@@ -104,10 +104,10 @@ func TestDiagnoseRequestSpanAndStages(t *testing.T) {
 		if !ok || len(stages) == 0 {
 			t.Fatalf("span %v missing stages", f["request_id"])
 		}
-		names := map[string]bool{}
+		names := map[string]int{}
 		for _, st := range stages {
 			m := st.(map[string]any)
-			names[m["name"].(string)] = true
+			names[m["name"].(string)]++
 			startUs := int64(m["start_us"].(float64))
 			stageDur := int64(m["dur_us"].(float64))
 			if startUs < 0 || startUs+stageDur > durUs {
@@ -115,10 +115,18 @@ func TestDiagnoseRequestSpanAndStages(t *testing.T) {
 					m["name"], startUs, startUs+stageDur, durUs)
 			}
 		}
-		for _, want := range []string{"decode", "recall", "scan", "record"} {
-			if !names[want] {
+		for _, want := range []string{"decode", "parse", "recall", "scan", "record", "encode"} {
+			if names[want] == 0 {
 				t.Errorf("span %v missing stage %q (got %v)", f["request_id"], want, names)
 			}
+		}
+		// The body decodes once per request, whatever the batch size;
+		// only the first request finds the registry cold.
+		if names["decode"] != 1 || names["encode"] != 1 {
+			t.Errorf("span %v: decode x%d, encode x%d, want once each", f["request_id"], names["decode"], names["encode"])
+		}
+		if cold := f["request_id"] == traceID; (names["load"] == 1) != cold {
+			t.Errorf("span %v: load x%d, want it on the cold first request only", f["request_id"], names["load"])
 		}
 	}
 	if f := spans[0]; f["parent"] != "00f067aa0ba902b7" {

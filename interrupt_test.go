@@ -2,7 +2,8 @@ package sddict_test
 
 // End-to-end SIGINT contract for cmd/sdd (DESIGN.md §10): an interrupted
 // run must exit with status 130, print the best-so-far report, and leave
-// a trace file that parses as JSONL and ends on a checkpoint_save event —
+// a trace file that parses as JSONL and ends with the run's root build
+// span, marked interrupted, right after a persisted checkpoint_save —
 // the durable record of the state the interrupted search got to.
 //
 // This is the only test that execs a built binary: signal delivery and
@@ -108,15 +109,18 @@ func TestSddInterruptEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("interrupted trace does not parse: %v", err)
 		}
-		if len(events) == 0 {
-			t.Fatal("interrupted trace is empty")
+		if len(events) < 2 {
+			t.Fatalf("interrupted trace has %d events", len(events))
 		}
-		last := events[len(events)-1]
-		if last.Type != "checkpoint_save" {
-			t.Errorf("trace ends with %q, want checkpoint_save (last event: %+v)", last.Type, last)
+		span, save := events[len(events)-1], events[len(events)-2]
+		if interrupted, _ := span.Fields["interrupted"].(bool); span.Type != "span" || !interrupted {
+			t.Errorf("trace ends with %+v, want the root build span marked interrupted", span)
 		}
-		if persisted, _ := last.Fields["persisted"].(bool); !persisted {
-			t.Errorf("final checkpoint_save not persisted despite -checkpoint: %+v", last)
+		if save.Type != "checkpoint_save" { // so no restart_end follows the save either
+			t.Errorf("record before the span is %q, want checkpoint_save (%+v)", save.Type, save)
+		}
+		if persisted, _ := save.Fields["persisted"].(bool); !persisted {
+			t.Errorf("final checkpoint_save not persisted despite -checkpoint: %+v", save)
 		}
 		return
 	}

@@ -343,12 +343,20 @@ func TestServeTraceJoin(t *testing.T) {
 	for _, want := range []string{
 		"serve span journal:",
 		"stage breakdown:",
-		"decode", "scan",
+		"decode", "parse", "scan", "encode",
 		"client join: joined=",
 	} {
 		if !strings.Contains(report, want) {
 			t.Errorf("sddstat serve report missing %q:\n%s", want, report)
 		}
+	}
+	// -dict preloads the artifact, so no request finds the registry
+	// cold; the body decodes once per request.
+	if strings.Contains(report, "  load ") {
+		t.Errorf("preloaded registry reports a load stage:\n%s", report)
+	}
+	if d := regexp.MustCompile(`decode +count=(\d+)`).FindStringSubmatch(report); d == nil || d[1] != "40" {
+		t.Errorf("decode stage count %v, want one per request (40):\n%s", d, report)
 	}
 	m := regexp.MustCompile(`client join: joined=(\d+)`).FindStringSubmatch(report)
 	if m == nil {
