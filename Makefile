@@ -37,10 +37,12 @@ lint-fix-check:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz passes over the .bench parser and the trace readers
-# (JSONL events, traceparent headers, sddstat's analysis); CI-friendly
-# budget. The trace seeds are real traces of a few KB, so minimizing a
-# new input is capped to keep the budget on fuzzing.
+# Short fuzz passes over the .bench parser, the trace readers (JSONL
+# events, traceparent headers, sddstat's analysis) and the two artifact
+# decoders (core.ReadCompiled, dictio.Decode through a harness that
+# recomputes the section CRCs); CI-friendly budget. The trace and
+# artifact seeds are real files of a few KB, so minimizing a new input
+# is capped to keep the budget on fuzzing.
 FUZZ_TRACE = -fuzztime=10s -fuzzminimizetime=1s
 
 fuzz:
@@ -48,6 +50,8 @@ fuzz:
 	$(GO) test -run='^FuzzReadEvents$$' -fuzz='^FuzzReadEvents$$' $(FUZZ_TRACE) ./internal/obs/
 	$(GO) test -run='^FuzzParseTraceparent$$' -fuzz='^FuzzParseTraceparent$$' $(FUZZ_TRACE) ./internal/obs/
 	$(GO) test -run='^FuzzReadRun$$' -fuzz='^FuzzReadRun$$' $(FUZZ_TRACE) ./internal/obs/analyze/
+	$(GO) test -run='^FuzzReadCompiled$$' -fuzz='^FuzzReadCompiled$$' $(FUZZ_TRACE) ./internal/core/
+	$(GO) test -run='^FuzzDecode$$' -fuzz='^FuzzDecode$$' $(FUZZ_TRACE) ./internal/dictio/
 
 # Parallel-layer benchmarks (restart search, fault-sim sharding, sweep
 # rows) at workers=1 vs N plus the partition scan/refine microbenchmarks

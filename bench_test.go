@@ -284,7 +284,14 @@ func BenchmarkTwoPhaseDiagnosis(b *testing.B) {
 		{"samediff", sd},
 	} {
 		b.Run(e.name, func(b *testing.B) {
-			tp := diagnose.NewTwoPhase(e.d, pr.Faults, pr.Circuit, pr.Tests)
+			compiled, err := e.d.Compile()
+			if err != nil {
+				b.Fatal(err)
+			}
+			tp, err := diagnose.NewTwoPhase(compiled, pr.Faults, pr.Circuit, pr.Tests)
+			if err != nil {
+				b.Fatal(err)
+			}
 			// Precompute observed responses for a rotating set of defects.
 			var observations [][]logic.BitVec
 			for fi := 0; fi < len(pr.Faults); fi += 37 {
@@ -297,7 +304,10 @@ func BenchmarkTwoPhaseDiagnosis(b *testing.B) {
 			simulated := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := tp.Diagnose(observations[i%len(observations)])
+				res, err := tp.Diagnose(observations[i%len(observations)])
+				if err != nil {
+					b.Fatal(err)
+				}
 				simulated += res.Simulated
 			}
 			b.ReportMetric(float64(simulated)/float64(b.N), "simulated_candidates")

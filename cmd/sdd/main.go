@@ -7,6 +7,7 @@
 //
 //	sdd -circuit s298 [-tests diag|10det] [-seed N] [-effort 0..1]
 //	sdd -bench path/to/circuit.bench [-tests diag|10det]
+//	sdd -circuit s27 -publish s27.sdda -inject 5 -dump-responses observed.txt
 //	sdd -list
 //
 // Example:
@@ -59,7 +60,7 @@ func run(ctx context.Context) (err error) {
 		list      = flag.Bool("list", false, "list available circuit profiles and exit")
 		publish   = flag.String("publish", "", "write a versioned, checksummed dictionary artifact (cmd/sddserve input) to this file")
 		inject    = flag.Int("inject", -1, "inject the i-th collapsed fault as a defect (with -dump-responses)")
-		dumpResp  = flag.String("dump-responses", "", "write the observed responses of the injected defect (cmd/diagnose input)")
+		dumpResp  = flag.String("dump-responses", "", "write the observed responses of the injected defect (the responses of an sddserve /diagnose request)")
 		ckpt      = flag.String("checkpoint", "", "persist/resume dictionary-search state at this file")
 		workers   = flag.Int("workers", 0, "worker count for fault simulation and restart search (0 = one per CPU); results are identical at any setting")
 		obsFlags  = cli.RegisterObsFlags(flag.CommandLine)
@@ -79,6 +80,9 @@ func run(ctx context.Context) (err error) {
 	tt := experiment.TestSetType(*tests)
 	if tt != experiment.Diagnostic && tt != experiment.TenDetect {
 		return cli.Usagef("unknown -tests %q (want diag or 10det)", *tests)
+	}
+	if (*dumpResp != "") != (*inject >= 0) {
+		return cli.Usagef("-dump-responses and -inject (a fault index >= 0) go together")
 	}
 
 	sess, err := obsFlags.Start()
@@ -126,6 +130,12 @@ func run(ctx context.Context) (err error) {
 	}
 	if err != nil {
 		return err
+	}
+	// The fault count is known only now; check the defect index before
+	// the dictionary search, not after it.
+	if *inject >= len(pr.Faults) {
+		return cli.Usagef("-inject %d out of range: %s has %d collapsed faults, want [0,%d)",
+			*inject, pr.Circuit.Name, len(pr.Faults), len(pr.Faults))
 	}
 
 	st := pr.Circuit.Stat()
@@ -179,9 +189,6 @@ func run(ctx context.Context) (err error) {
 	}
 
 	if *dumpResp != "" {
-		if *inject < 0 || *inject >= len(pr.Faults) {
-			return cli.Usagef("-dump-responses needs -inject in [0,%d)", len(pr.Faults))
-		}
 		defect := pr.Faults[*inject]
 		observed, err := diagnose.ObservedResponses(pr.Circuit, []fault.Fault{defect}, pr.Tests)
 		if err != nil {

@@ -20,6 +20,7 @@ import (
 	"sddict/internal/diagnose"
 	"sddict/internal/fault"
 	"sddict/internal/gen"
+	"sddict/internal/logic"
 	"sddict/internal/netlist"
 	"sddict/internal/resp"
 )
@@ -44,8 +45,13 @@ func main() {
 	fmt.Printf("dictionaries: pass/fail %d bits, same/different %d bits\n\n",
 		pf.SizeBits(), sd.NominalSizeBits())
 
-	dgPF := diagnose.New(pf, col.Faults)
-	dgSD := diagnose.New(sd, col.Faults)
+	// The deployable forms: the same Compile() output sdd -publish wraps
+	// into an artifact and sddserve diagnoses against. A slice, not a
+	// map, so the report prints in a fixed order.
+	dicts := []struct {
+		name string
+		c    *core.Compiled
+	}{{"pass/fail", mustCompile(pf)}, {"same/different", mustCompile(sd)}}
 
 	// Scenario 1: modeled defects. Inject single stuck-at faults and
 	// compare candidate-set sizes.
@@ -59,8 +65,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		candPF := dgPF.ExactMatches(dgPF.Signature(obs))
-		candSD := dgSD.ExactMatches(dgSD.Signature(obs))
+		candPF := dicts[0].c.Candidates(mustSignature(dicts[0].c, obs))
+		candSD := dicts[1].c.Candidates(mustSignature(dicts[1].c, obs))
 		switch {
 		case len(candSD) < len(candPF):
 			betterSD++
@@ -97,12 +103,27 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  injected: %s + %s\n", col.Faults[a].Name(comb), col.Faults[b].Name(comb))
-	for name, dg := range map[string]*diagnose.Diagnoser{"pass/fail": dgPF, "same/different": dgSD} {
-		cands := dg.Diagnose(obs, 5)
-		fmt.Printf("  %-15s top candidates:", name)
-		for _, c := range cands {
+	for _, d := range dicts {
+		fmt.Printf("  %-15s top candidates:", d.name)
+		for _, c := range d.c.Rank(mustSignature(d.c, obs), 5) {
 			fmt.Printf(" %s(d=%d)", col.Faults[c.Fault].Name(comb), c.Distance)
 		}
 		fmt.Println()
 	}
+}
+
+func mustCompile(d *core.Dictionary) *core.Compiled {
+	c, err := d.Compile()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return c
+}
+
+func mustSignature(c *core.Compiled, observed []logic.BitVec) logic.BitVec {
+	sig, err := c.Signature(observed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return sig
 }

@@ -16,9 +16,8 @@ type Ranked struct {
 
 // rankedLess is the ranking order: distance ascending, fault index
 // ascending within equal distance. Fault indices are distinct, so it is
-// a strict total order — the order internal/diagnose, cmd/diagnose and
-// the /diagnose endpoint all share, which is what makes their outputs
-// byte-comparable.
+// a strict total order: a ranking is fully determined by the rows and
+// the signature, and every caller of Rank gets byte-comparable answers.
 func rankedLess(a, b Ranked) bool {
 	if a.Distance != b.Distance {
 		return a.Distance < b.Distance
@@ -26,15 +25,18 @@ func rankedLess(a, b Ranked) bool {
 	return a.Fault < b.Fault
 }
 
-// RankRows returns the topK rows closest to sig by Hamming distance,
-// distance ascending, fault index ascending within equal distance.
-// topK <= 0 (or >= the row count) ranks everything. A bounded topK runs
-// in O(n log topK) via heap selection instead of a full sort —
-// diagnosis wants a handful of candidates out of thousands of faults.
-func RankRows(rows []logic.BitVec, sig logic.BitVec, topK int) []Ranked {
-	if topK <= 0 || topK >= len(rows) {
-		out := make([]Ranked, len(rows))
-		for i, row := range rows {
+// Rank returns the topK faults whose compiled signature rows are
+// closest to sig by Hamming distance, distance ascending, fault index
+// ascending within equal distance — the nearest-match fallback a
+// deployed diagnosis uses when no row matches exactly (a defect outside
+// the modeled universe). topK <= 0 (or >= the row count) ranks
+// everything. A bounded topK runs in O(n log topK) via heap selection
+// instead of a full sort — diagnosis wants a handful of candidates out
+// of thousands of faults.
+func (c *Compiled) Rank(sig logic.BitVec, topK int) []Ranked {
+	if topK <= 0 || topK >= len(c.Rows) {
+		out := make([]Ranked, len(c.Rows))
+		for i, row := range c.Rows {
 			out[i] = Ranked{Fault: i, Distance: row.Hamming(sig)}
 		}
 		sort.Slice(out, func(a, b int) bool { return rankedLess(out[a], out[b]) })
@@ -44,25 +46,18 @@ func RankRows(rows []logic.BitVec, sig logic.BitVec, topK int) []Ranked {
 	// candidate: a new candidate either beats the root and replaces it,
 	// or is discarded.
 	h := make([]Ranked, 0, topK)
-	for i, row := range rows {
-		c := Ranked{Fault: i, Distance: row.Hamming(sig)}
+	for i, row := range c.Rows {
+		r := Ranked{Fault: i, Distance: row.Hamming(sig)}
 		if len(h) < topK {
-			h = append(h, c)
+			h = append(h, r)
 			rankedSiftUp(h, len(h)-1)
-		} else if rankedLess(c, h[0]) {
-			h[0] = c
+		} else if rankedLess(r, h[0]) {
+			h[0] = r
 			rankedSiftDown(h, 0)
 		}
 	}
 	sort.Slice(h, func(a, b int) bool { return rankedLess(h[a], h[b]) })
 	return h
-}
-
-// Rank returns the topK faults whose compiled signature rows are
-// closest to sig — the nearest-match fallback a deployed diagnosis uses
-// when no row matches exactly (a defect outside the modeled universe).
-func (c *Compiled) Rank(sig logic.BitVec, topK int) []Ranked {
-	return RankRows(c.Rows, sig, topK)
 }
 
 // rankedSiftUp restores the max-heap property after appending at i.

@@ -1,14 +1,15 @@
-// Package diagnose performs cause-effect fault diagnosis with the
-// dictionaries built by internal/core: an observed response is reduced to a
-// signature against the dictionary's baselines and matched against the
-// stored fault signatures, exactly as a tester-side diagnosis flow would
-// use a pass/fail or same/different dictionary.
+// Package diagnose holds the library side of tester-side diagnosis around
+// the compiled dictionaries of internal/core: simulating a defect's
+// observed responses, scoring a dictionary's diagnostic resolution, and
+// the two-phase flow that recovers full-dictionary resolution from a
+// compact dictionary. The diagnosis step itself — observed responses to
+// signature to candidates — is core.Compiled's Signature, Candidates and
+// Rank, the one engine sddserve's /diagnose runs too.
 package diagnose
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"sddict/internal/core"
 	"sddict/internal/fault"
@@ -17,130 +18,6 @@ import (
 	"sddict/internal/pattern"
 	"sddict/internal/sim"
 )
-
-// Candidate is one ranked diagnosis candidate.
-type Candidate struct {
-	Fault    int // index into the dictionary's fault list
-	Distance int // Hamming distance between signatures (0 = exact match)
-}
-
-// Diagnoser matches observed responses against one dictionary.
-type Diagnoser struct {
-	D      *core.Dictionary
-	Faults []fault.Fault
-
-	rows   []logic.BitVec
-	byHash map[uint64][]int32
-}
-
-// New precomputes the per-fault signature rows of the dictionary.
-func New(d *core.Dictionary, faults []fault.Fault) *Diagnoser {
-	if len(faults) != d.M.N {
-		panic(fmt.Sprintf("diagnose: %d faults != %d dictionary rows", len(faults), d.M.N))
-	}
-	dg := &Diagnoser{D: d, Faults: faults}
-	dg.rows = make([]logic.BitVec, d.M.N)
-	dg.byHash = make(map[uint64][]int32, d.M.N)
-	for i := 0; i < d.M.N; i++ {
-		row := d.Row(i)
-		dg.rows[i] = row
-		h := row.Hash()
-		dg.byHash[h] = append(dg.byHash[h], int32(i))
-	}
-	return dg
-}
-
-// Signature reduces an observed response (one output vector per test) to
-// the dictionary's signature space: bit j is 0 when the observed vector for
-// test j equals the baseline vector (fault-free for pass/fail dictionaries,
-// the selected z_bl,j for same/different) and 1 otherwise.
-func (dg *Diagnoser) Signature(observed []logic.BitVec) logic.BitVec {
-	d := dg.D
-	k := d.M.K
-	if len(observed) != k {
-		panic(fmt.Sprintf("diagnose: %d observed responses != %d tests", len(observed), k))
-	}
-	total := k
-	if d.ExtraBaselines != nil {
-		total = 2 * k
-	}
-	sig := logic.NewBitVec(total)
-	for j := 0; j < k; j++ {
-		if !observed[j].Equal(d.BaselineVector(j)) {
-			sig.Set(j, 1)
-		}
-	}
-	if d.ExtraBaselines != nil {
-		for j := 0; j < k; j++ {
-			if !observed[j].Equal(d.M.Vecs[j][d.ExtraBaselines[j]]) {
-				sig.Set(k+j, 1)
-			}
-		}
-	}
-	return sig
-}
-
-// ExactMatches returns the faults whose dictionary signature equals sig —
-// the candidate set a cause-effect procedure reports for a perfect match.
-func (dg *Diagnoser) ExactMatches(sig logic.BitVec) []int {
-	var out []int
-	for _, i := range dg.byHash[sig.Hash()] {
-		if dg.rows[i].Equal(sig) {
-			out = append(out, int(i))
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Rank returns the topK candidates closest to sig by Hamming distance,
-// distance ascending, fault index ascending within equal distance. It
-// delegates to core.RankRows — the single ranking implementation shared
-// with the compiled-dictionary path (cmd/diagnose, /diagnose), so the
-// library and service rankings can never drift apart.
-func (dg *Diagnoser) Rank(sig logic.BitVec, topK int) []Candidate {
-	ranked := core.RankRows(dg.rows, sig, topK)
-	out := make([]Candidate, len(ranked))
-	for i, r := range ranked {
-		out[i] = Candidate{Fault: r.Fault, Distance: r.Distance}
-	}
-	return out
-}
-
-// Diagnose combines exact matching with ranked fallback: if exact matches
-// exist they are returned with distance 0; otherwise the topK nearest rows.
-func (dg *Diagnoser) Diagnose(observed []logic.BitVec, topK int) []Candidate {
-	sig := dg.Signature(observed)
-	if exact := dg.ExactMatches(sig); len(exact) > 0 {
-		out := make([]Candidate, len(exact))
-		for i, f := range exact {
-			out[i] = Candidate{Fault: f}
-		}
-		return out
-	}
-	return dg.Rank(sig, topK)
-}
-
-// FullMatches returns the faults whose complete stored response (the full
-// dictionary's content) equals the observed response under every test. Use
-// this instead of signature matching when d is a Full dictionary.
-func (dg *Diagnoser) FullMatches(observed []logic.BitVec) []int {
-	m := dg.D.M
-	var out []int
-	for i := 0; i < m.N; i++ {
-		match := true
-		for j := 0; j < m.K; j++ {
-			if !m.Vecs[j][m.Class[j][i]].Equal(observed[j]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			out = append(out, i)
-		}
-	}
-	return out
-}
 
 // ErrWidthMismatch marks an ObservedResponses failure where injecting
 // the defect changed the circuit's scan width, so the test set no longer
@@ -203,8 +80,8 @@ type Quality struct {
 // dictionary's indistinguishability partition: a fault in a group of
 // size s sees a candidate set of size s (each group contributes s²
 // candidate sightings), a singleton fault sees exactly itself. The
-// root diagnose tests pin this accounting against a brute-force
-// per-fault ExactMatches recount.
+// diagnose tests pin this accounting against a brute-force recount
+// from the partition's group sizes.
 func EvaluateResolution(d *core.Dictionary) Quality {
 	p := d.Partition()
 	q := Quality{Faults: p.Len()}

@@ -11,6 +11,7 @@ import (
 	"sddict/internal/core"
 	"sddict/internal/fault"
 	"sddict/internal/gen"
+	"sddict/internal/logic"
 	"sddict/internal/netlist"
 	"sddict/internal/pattern"
 	"sddict/internal/resp"
@@ -27,6 +28,27 @@ func setup(t *testing.T) (*netlist.Circuit, []fault.Fault, *pattern.Set, *resp.M
 	tests, _ := atpg.GenerateDetection(comb, col.Faults, cfg)
 	m := resp.Build(netlist.NewScanView(comb), col.Faults, tests)
 	return comb, col.Faults, tests, m
+}
+
+// compile returns d's deployable form, the one tester-side diagnosis
+// engine.
+func compile(t *testing.T, d *core.Dictionary) *core.Compiled {
+	t.Helper()
+	c, err := d.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// signature reduces observed responses against c's baselines.
+func signature(t *testing.T, c *core.Compiled, obs []logic.BitVec) logic.BitVec {
+	t.Helper()
+	sig, err := c.Signature(obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sig
 }
 
 // TestSelfDiagnosis: injecting each modeled fault and diagnosing must put
@@ -46,7 +68,7 @@ func TestSelfDiagnosis(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(2))
 	for name, d := range dicts {
-		dg := New(d, faults)
+		c := compile(t, d)
 		part := d.Partition()
 		for trial := 0; trial < 15; trial++ {
 			fi := r.Intn(len(faults))
@@ -54,18 +76,18 @@ func TestSelfDiagnosis(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cands := dg.ExactMatches(dg.Signature(obs))
+			cands := c.Candidates(signature(t, c, obs))
 			found := false
-			for _, c := range cands {
-				if c == fi {
+			for _, cand := range cands {
+				if cand == fi {
 					found = true
 				}
 				// Every exact-match candidate must share the injected
 				// fault's group.
-				sameGroup := c == fi ||
-					(part.Label(c) != core.Isolated && part.Label(c) == part.Label(fi))
+				sameGroup := cand == fi ||
+					(part.Label(cand) != core.Isolated && part.Label(cand) == part.Label(fi))
 				if !sameGroup {
-					t.Fatalf("%s: candidate %d not in group of injected fault %d", name, c, fi)
+					t.Fatalf("%s: candidate %d not in group of injected fault %d", name, cand, fi)
 				}
 			}
 			if !found {
@@ -118,8 +140,7 @@ func TestSameDiffNarrowsCandidates(t *testing.T) {
 // candidates more often than chance.
 func TestRankNearestForNonModeledDefect(t *testing.T) {
 	comb, faults, tests, m := setup(t)
-	pf := core.NewPassFail(m)
-	dg := New(pf, faults)
+	pf := compile(t, core.NewPassFail(m))
 	r := rand.New(rand.NewSource(6))
 	hits := 0
 	const trials = 10
@@ -133,8 +154,7 @@ func TestRankNearestForNonModeledDefect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands := dg.Diagnose(obs, 10)
-		for _, c := range cands {
+		for _, c := range pf.Rank(signature(t, pf, obs), 10) {
 			if c.Fault == a || c.Fault == b {
 				hits++
 				break
@@ -143,36 +163,6 @@ func TestRankNearestForNonModeledDefect(t *testing.T) {
 	}
 	if hits < trials/2 {
 		t.Errorf("double-fault diagnosis found a constituent in only %d/%d trials", hits, trials)
-	}
-}
-
-// TestFullMatches: full-response matching must pinpoint the injected
-// fault's full-dictionary group exactly.
-func TestFullMatches(t *testing.T) {
-	comb, faults, tests, m := setup(t)
-	full := core.NewFull(m)
-	dg := New(full, faults)
-	part := full.Partition()
-	r := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 10; trial++ {
-		fi := r.Intn(len(faults))
-		obs, err := ObservedResponses(comb, []fault.Fault{faults[fi]}, tests)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cands := dg.FullMatches(obs)
-		found := false
-		for _, c := range cands {
-			if c == fi {
-				found = true
-			}
-			if c != fi && (part.Label(c) == core.Isolated || part.Label(c) != part.Label(fi)) {
-				t.Fatalf("full match %d outside the group of %d", c, fi)
-			}
-		}
-		if !found {
-			t.Fatalf("injected fault %d not among full matches", fi)
-		}
 	}
 }
 
@@ -186,7 +176,7 @@ func TestSignatureAgainstDictionaryRows(t *testing.T) {
 	opts.Calls1 = 3
 	opts.MaxRestarts = 5
 	sd, _ := core.BuildSameDiff(m, opts)
-	dg := New(sd, faults)
+	c := compile(t, sd)
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 10; trial++ {
 		fi := r.Intn(len(faults))
@@ -194,7 +184,7 @@ func TestSignatureAgainstDictionaryRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sig := dg.Signature(obs)
+		sig := signature(t, c, obs)
 		if !sig.Equal(sd.Row(fi)) {
 			t.Fatalf("signature of injected fault %d differs from its dictionary row", fi)
 		}
@@ -252,50 +242,6 @@ func TestEvaluateResolutionBruteForce(t *testing.T) {
 		want := float64(sum) / float64(p.Len())
 		if diff := q.AvgCandidates - want; diff > 1e-12 || diff < -1e-12 {
 			t.Errorf("%s: AvgCandidates = %v, brute force %v", name, q.AvgCandidates, want)
-		}
-	}
-}
-
-// TestRankBoundedMatchesFullSort: the heap-based bounded selection must
-// return exactly the prefix of the full sort for every topK, including
-// the tie-break (distance ascending, fault ascending).
-func TestRankBoundedMatchesFullSort(t *testing.T) {
-	comb, faults, tests, m := setup(t)
-	pf := core.NewPassFail(m)
-	dg := New(pf, faults)
-	r := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 5; trial++ {
-		a, b := r.Intn(len(faults)), r.Intn(len(faults))
-		obs, err := ObservedResponses(comb, []fault.Fault{faults[a], faults[b]}, tests)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sig := dg.Signature(obs)
-		full := dg.Rank(sig, 0) // reference: full sort
-		if len(full) != len(faults) {
-			t.Fatalf("full rank returned %d of %d faults", len(full), len(faults))
-		}
-		for i := 1; i < len(full); i++ {
-			prev, cur := full[i-1], full[i]
-			if cur.Distance < prev.Distance ||
-				(cur.Distance == prev.Distance && cur.Fault < prev.Fault) {
-				t.Fatalf("reference ranking out of order at %d", i)
-			}
-		}
-		for _, topK := range []int{1, 2, 3, 7, 10, 64, len(faults) - 1, len(faults), len(faults) + 5} {
-			got := dg.Rank(sig, topK)
-			wantLen := topK
-			if topK > len(full) {
-				wantLen = len(full)
-			}
-			if len(got) != wantLen {
-				t.Fatalf("topK=%d returned %d candidates, want %d", topK, len(got), wantLen)
-			}
-			for i, c := range got {
-				if c != full[i] {
-					t.Fatalf("topK=%d: candidate %d = %+v, full sort has %+v", topK, i, c, full[i])
-				}
-			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package diagnose
 
 import (
+	"fmt"
+
 	"sddict/internal/core"
 	"sddict/internal/fault"
 	"sddict/internal/logic"
@@ -16,19 +18,20 @@ import (
 // those candidates compares full responses, recovering full-dictionary
 // resolution without ever storing the full dictionary.
 type TwoPhase struct {
-	dg    *Diagnoser
-	view  *netlist.ScanView
-	tests *pattern.Set
+	dict   *core.Compiled
+	faults []fault.Fault
+	view   *netlist.ScanView
+	tests  *pattern.Set
 }
 
-// NewTwoPhase builds a two-phase diagnoser over the dictionary d for the
-// given circuit (combinational full-scan form) and its test set.
-func NewTwoPhase(d *core.Dictionary, faults []fault.Fault, c *netlist.Circuit, tests *pattern.Set) *TwoPhase {
-	return &TwoPhase{
-		dg:    New(d, faults),
-		view:  netlist.NewScanView(c),
-		tests: tests,
+// NewTwoPhase builds a two-phase diagnoser over the compiled dictionary
+// dict (Dictionary.Compile) for the given circuit (combinational
+// full-scan form), its faults in dictionary row order, and its test set.
+func NewTwoPhase(dict *core.Compiled, faults []fault.Fault, c *netlist.Circuit, tests *pattern.Set) (*TwoPhase, error) {
+	if len(faults) != len(dict.Rows) {
+		return nil, fmt.Errorf("diagnose: %d faults != %d dictionary rows", len(faults), len(dict.Rows))
 	}
+	return &TwoPhase{dict: dict, faults: faults, view: netlist.NewScanView(c), tests: tests}, nil
 }
 
 // Result reports a two-phase diagnosis.
@@ -45,21 +48,20 @@ type Result struct {
 }
 
 // Diagnose runs both phases on the observed responses (one output vector
-// per test).
-func (tp *TwoPhase) Diagnose(observed []logic.BitVec) Result {
-	var res Result
-	sig := tp.dg.Signature(observed)
-	res.Phase1 = tp.dg.ExactMatches(sig)
+// per test). It fails only when the observation does not fit the
+// dictionary's test count.
+func (tp *TwoPhase) Diagnose(observed []logic.BitVec) (Result, error) {
+	sig, err := tp.dict.Signature(observed)
+	if err != nil {
+		return Result{}, err
+	}
+	res := Result{Phase1: tp.dict.Candidates(sig)}
 	if len(res.Phase1) == 0 {
 		// Fall back to the nearest rows; take every fault at the minimum
 		// distance.
-		ranked := tp.dg.Rank(sig, 0)
-		if len(ranked) == 0 {
-			return res
-		}
-		min := ranked[0].Distance
+		ranked := tp.dict.Rank(sig, 0)
 		for _, c := range ranked {
-			if c.Distance != min {
+			if c.Distance != ranked[0].Distance {
 				break
 			}
 			res.Phase1 = append(res.Phase1, c.Fault)
@@ -70,11 +72,11 @@ func (tp *TwoPhase) Diagnose(observed []logic.BitVec) Result {
 	// matches.
 	res.Simulated = len(res.Phase1)
 	for _, fi := range res.Phase1 {
-		if tp.fullResponseMatches(tp.dg.Faults[fi], observed) {
+		if tp.fullResponseMatches(tp.faults[fi], observed) {
 			res.Phase2 = append(res.Phase2, fi)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // fullResponseMatches simulates one fault under the full test set,

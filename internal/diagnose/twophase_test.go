@@ -6,6 +6,9 @@ import (
 
 	"sddict/internal/core"
 	"sddict/internal/fault"
+	"sddict/internal/logic"
+	"sddict/internal/netlist"
+	"sddict/internal/pattern"
 )
 
 // TestTwoPhaseRecoversFullResolution: phase 2 must narrow the dictionary's
@@ -25,7 +28,7 @@ func TestTwoPhaseRecoversFullResolution(t *testing.T) {
 		"pass/fail":      core.NewPassFail(m),
 		"same/different": sd,
 	} {
-		tp := NewTwoPhase(d, faults, comb, tests)
+		tp := newTwoPhase(t, d, faults, comb, tests)
 		r := rand.New(rand.NewSource(99))
 		for trial := 0; trial < 12; trial++ {
 			fi := r.Intn(len(faults))
@@ -33,7 +36,7 @@ func TestTwoPhaseRecoversFullResolution(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := tp.Diagnose(obs)
+			res := runTwoPhase(t, tp, obs)
 			// The injected fault must survive both phases.
 			if !containsInt(res.Phase2, fi) {
 				t.Fatalf("%s: injected fault %d lost (phase1 %d, phase2 %d candidates)",
@@ -72,8 +75,8 @@ func TestTwoPhaseSavesSimulation(t *testing.T) {
 	opts.Calls1 = 3
 	opts.MaxRestarts = 6
 	sd, _ := core.BuildSameDiff(m, opts)
-	tpPF := NewTwoPhase(core.NewPassFail(m), faults, comb, tests)
-	tpSD := NewTwoPhase(sd, faults, comb, tests)
+	tpPF := newTwoPhase(t, core.NewPassFail(m), faults, comb, tests)
+	tpSD := newTwoPhase(t, sd, faults, comb, tests)
 
 	r := rand.New(rand.NewSource(123))
 	totalPF, totalSD := 0, 0
@@ -83,8 +86,8 @@ func TestTwoPhaseSavesSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		totalPF += tpPF.Diagnose(obs).Simulated
-		totalSD += tpSD.Diagnose(obs).Simulated
+		totalPF += runTwoPhase(t, tpPF, obs).Simulated
+		totalSD += runTwoPhase(t, tpSD, obs).Simulated
 	}
 	if totalSD > totalPF {
 		t.Fatalf("same/different phase 2 simulated more faults (%d) than pass/fail (%d)",
@@ -101,7 +104,7 @@ func TestTwoPhaseSavesSimulation(t *testing.T) {
 // "not a modeled fault" outcome).
 func TestTwoPhaseNonModeledDefect(t *testing.T) {
 	comb, faults, tests, m := setup(t)
-	tp := NewTwoPhase(core.NewPassFail(m), faults, comb, tests)
+	tp := newTwoPhase(t, core.NewPassFail(m), faults, comb, tests)
 	r := rand.New(rand.NewSource(7))
 	sawEmptyPhase2 := false
 	for trial := 0; trial < 6 && !sawEmptyPhase2; trial++ {
@@ -113,7 +116,7 @@ func TestTwoPhaseNonModeledDefect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := tp.Diagnose(obs)
+		res := runTwoPhase(t, tp, obs)
 		if len(res.Phase1) == 0 {
 			t.Fatal("phase 1 returned nothing, not even nearest rows")
 		}
@@ -124,6 +127,45 @@ func TestTwoPhaseNonModeledDefect(t *testing.T) {
 	if !sawEmptyPhase2 {
 		t.Log("every double fault happened to mimic a single fault; unusual but possible")
 	}
+}
+
+// TestTwoPhaseRejectsMismatchedInput: a fault list that does not fit the
+// dictionary's rows, or an observation that does not fit its test count,
+// is an error rather than a panic or a wrong diagnosis.
+func TestTwoPhaseRejectsMismatchedInput(t *testing.T) {
+	comb, faults, tests, m := setup(t)
+	c := compile(t, core.NewPassFail(m))
+	if _, err := NewTwoPhase(c, faults[1:], comb, tests); err == nil {
+		t.Error("NewTwoPhase accepted one fault too few")
+	}
+	tp := newTwoPhase(t, core.NewPassFail(m), faults, comb, tests)
+	obs, err := ObservedResponses(comb, []fault.Fault{faults[0]}, tests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tp.Diagnose(obs[1:]); err == nil {
+		t.Error("Diagnose accepted one observed response too few")
+	}
+}
+
+// newTwoPhase builds a two-phase diagnoser over d's compiled form.
+func newTwoPhase(t *testing.T, d *core.Dictionary, faults []fault.Fault, c *netlist.Circuit, tests *pattern.Set) *TwoPhase {
+	t.Helper()
+	tp, err := NewTwoPhase(compile(t, d), faults, c, tests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tp
+}
+
+// runTwoPhase runs both phases on obs.
+func runTwoPhase(t *testing.T, tp *TwoPhase, obs []logic.BitVec) Result {
+	t.Helper()
+	res, err := tp.Diagnose(obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func containsInt(s []int, v int) bool {

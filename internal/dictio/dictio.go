@@ -1,6 +1,6 @@
 // Package dictio defines the versioned on-disk artifact format for
 // published dictionaries — the deployable unit cmd/sdd -publish writes
-// and cmd/diagnose / internal/serve load. An artifact wraps a compiled
+// and internal/serve loads. An artifact wraps a compiled
 // dictionary (core.Compiled) with the provenance a diagnosis service
 // needs (circuit name, test-set type, seed, per-fault class names) and
 // enough redundancy to detect damage: every section carries a CRC32C,
@@ -365,7 +365,7 @@ func LoadFS(fsys faultfs.FS, path string) (*Artifact, error) {
 }
 
 // ParseVector parses one 0/1 response line into a bit vector of exactly
-// `outputs` bits — the ATE log format shared by cmd/diagnose,
+// `outputs` bits — the ATE log format shared by sdd -dump-responses,
 // cmd/sddload and the /diagnose endpoint.
 func ParseVector(s string, outputs int) (logic.BitVec, error) {
 	if len(s) != outputs {
@@ -393,30 +393,6 @@ func ParseVectors(lines []string, outputs int) ([]logic.BitVec, error) {
 			return nil, fmt.Errorf("response %d: %w", i+1, err)
 		}
 		out[i] = v
-	}
-	return out, nil
-}
-
-// ParseResponses reads a whole observed-responses file (one 0/1 vector
-// per line, blank lines skipped), as written by sdd -dump-responses.
-func ParseResponses(r io.Reader, outputs int) ([]logic.BitVec, error) {
-	sc := bufio.NewScanner(r)
-	var out []logic.BitVec
-	line := 0
-	for sc.Scan() {
-		line++
-		txt := strings.TrimSpace(sc.Text())
-		if txt == "" {
-			continue
-		}
-		v, err := ParseVector(txt, outputs)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
-		out = append(out, v)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dictio: reading responses: %w", err)
 	}
 	return out, nil
 }

@@ -16,8 +16,9 @@
 //   - corrupt artifacts are refused at load (dictio's CRC verdicts),
 //     never half-served.
 //
-// The ranking path is core.RankRows — the same code cmd/diagnose runs —
-// so batch and service diagnoses are byte-comparable.
+// The diagnosis path is core.Compiled's Signature, Candidates and Rank —
+// the one engine library callers use too — so in-process and service
+// diagnoses are byte-comparable.
 package serve
 
 import (
@@ -541,8 +542,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 // budget *and* passing the false-dedup guard (near hit) supplies the
 // cached ranking; otherwise — and always without a store — the path is
 // exact candidates if any row matches the signature, else the topK
-// nearest rows via core.RankRows, the identical path cmd/diagnose
-// takes.
+// nearest rows via core.Compiled.Rank.
 //
 // An exact recall is byte-identical to what the recompute path would
 // have produced: same signature, same artifact, deterministic ranking,
@@ -650,10 +650,10 @@ func (s *Server) recall(e *entry, sig logic.BitVec, topK int) (casestore.Recall,
 // guardNear is the false-dedup guard: a near-matched case may only be
 // served if its candidate set equals the dictionary's *top candidate
 // set* for the new signature — the rows at minimum Hamming distance,
-// exactly the first tier core.RankRows would return. A near case whose
-// candidates are not the nearest explanation of the new signature is a
-// different defect wearing a similar signature; serving it would be a
-// false dedup, so the verdict demotes to a miss and the recompute path
+// exactly the first tier core.Compiled.Rank would return. A near case
+// whose candidates are not the nearest explanation of the new signature
+// is a different defect wearing a similar signature; serving it would be
+// a false dedup, so the verdict demotes to a miss and the recompute path
 // runs. One O(rows) XOR+popcount scan, the same cost as the rank
 // fallback's scan without its heap.
 //

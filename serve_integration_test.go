@@ -4,11 +4,12 @@ package sddict_test
 // against freshly built binaries because signal delivery, exit codes and
 // real sockets cannot be observed in-process:
 //
-//   - TestServeEndToEnd: publish an artifact with `sdd -publish`, diagnose
-//     an injected defect with batch `diagnose`, then ask a running
-//     `sddserve` the same question over HTTP — the ranked candidate
-//     indices must be identical. SIGTERM then drains the server: exit 0,
-//     trace ending on a clean serve_shutdown event.
+//   - TestServeEndToEnd: publish an artifact and dump an injected
+//     defect's responses with `sdd`, diagnose them in process through
+//     the loaded artifact's core.Compiled, then ask a running `sddserve`
+//     the same question over HTTP — the exact candidate indices must be
+//     identical. SIGTERM then drains the server: exit 0, trace ending on
+//     a clean serve_shutdown event.
 //
 //   - TestServeChaosShedDrain: a deliberately tiny in-flight cap plus a
 //     chaos delay under concurrent `sddload` traffic must shed with
@@ -26,6 +27,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -94,26 +96,6 @@ func startServer(t *testing.T, bin string, extra ...string) (*exec.Cmd, string, 
 	return cmd, addr, &stderr
 }
 
-// candidateIndices extracts the exact-match fault indices from batch
-// diagnose output ("candidate faults (2): #3 #14").
-func candidateIndices(t *testing.T, out string) []int {
-	t.Helper()
-	re := regexp.MustCompile(`candidate faults \(\d+\):((?: #\d+)+)`)
-	m := re.FindStringSubmatch(out)
-	if m == nil {
-		t.Fatalf("no candidate line in diagnose output:\n%s", out)
-	}
-	var ids []int
-	for _, tok := range strings.Fields(m[1]) {
-		n, err := strconv.Atoi(strings.TrimPrefix(tok, "#"))
-		if err != nil {
-			t.Fatalf("candidate token %q: %v", tok, err)
-		}
-		ids = append(ids, n)
-	}
-	return ids
-}
-
 func postDiagnose(t *testing.T, addr string, req serve.DiagnoseRequest) (serve.DiagnoseResponse, int) {
 	t.Helper()
 	body, err := json.Marshal(req)
@@ -173,7 +155,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs freshly built binaries; skipped in -short mode")
 	}
-	bins := buildBinaries(t, "sdd", "diagnose", "sddserve")
+	bins := buildBinaries(t, "sdd", "sddserve")
 	dir := artifactDir(t)
 	artPath := filepath.Join(dir, "s27.sdda")
 	obsPath := filepath.Join(dir, "observed.txt")
@@ -186,19 +168,29 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("sdd -publish: %v\n%s", err, out)
 	}
 
-	// Batch diagnosis: the reference ranking.
-	diag := exec.Command(bins["diagnose"], "-dict", artPath, "-responses", obsPath)
-	diagOut, err := diag.CombinedOutput()
+	// In-process diagnosis of the published artifact: the reference.
+	art, err := dictio.Load(artPath)
 	if err != nil {
-		t.Fatalf("diagnose: %v\n%s", err, diagOut)
+		t.Fatal(err)
 	}
-	want := candidateIndices(t, string(diagOut))
+	lines := readResponseLines(t, obsPath)
+	observed, err := dictio.ParseVectors(lines, art.Dict.Outputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, err := art.Dict.Signature(observed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := art.Dict.Candidates(sig)
+	if !slices.Contains(want, 5) {
+		t.Fatalf("injected fault 5 not among the exact candidates %v", want)
+	}
 
 	tracePath := filepath.Join(dir, "serve-trace.jsonl")
 	srv, addr, stderr := startServer(t, bins["sddserve"],
 		"-dict", artPath, "-trace-out", tracePath)
 
-	lines := readResponseLines(t, obsPath)
 	single, status := postDiagnose(t, addr, serve.DiagnoseRequest{Dictionary: artPath, Responses: lines})
 	if status != http.StatusOK || len(single.Results) != 1 {
 		t.Fatalf("single diagnose: status %d, results %+v", status, single.Results)
@@ -211,7 +203,7 @@ func TestServeEndToEnd(t *testing.T) {
 		got = append(got, c.Fault)
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("service candidates %v != batch diagnose candidates %v", got, want)
+		t.Errorf("service candidates %v != in-process candidates %v", got, want)
 	}
 
 	// Batch parity over the wire: the same observation twice must give
@@ -235,6 +227,50 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Errorf("drained server exit: %v (want 0); stderr:\n%s", err, stderr.String())
 	}
 	assertTraceEndsClean(t, tracePath)
+}
+
+// TestSddInjectUsageChecks: -dump-responses and -inject are checked
+// before the work they would waste. A missing half of the pair is a
+// usage error before anything runs; an out-of-range fault index is one
+// right after test generation, before the dictionary search and the
+// report (stdout stays empty) — not after the search, with the artifact
+// unwritten.
+func TestSddInjectUsageChecks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("execs a freshly built binary; skipped in -short mode")
+	}
+	sdd := buildBinaries(t, "sdd")["sdd"]
+	dir := t.TempDir()
+	artPath := filepath.Join(dir, "s27.sdda")
+	obsPath := filepath.Join(dir, "observed.txt")
+	for name, tc := range map[string]struct {
+		args []string
+		msg  string
+	}{
+		"dump without inject": {[]string{"-dump-responses", obsPath}, "go together"},
+		"inject without dump": {[]string{"-inject", "3"}, "go together"},
+		"inject out of range": {[]string{"-inject", "999", "-dump-responses", obsPath}, "-inject 999 out of range"},
+	} {
+		args := append([]string{"-circuit", "s27", "-seed", "3", "-publish", artPath}, tc.args...)
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(sdd, args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("%s: err = %v, want exit 2; stderr:\n%s", name, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.msg) {
+			t.Errorf("%s: stderr %q does not mention %q", name, stderr.String(), tc.msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: the run went ahead and reported:\n%s", name, stdout.String())
+		}
+		for _, p := range []string{artPath, obsPath} {
+			if _, err := os.Stat(p); err == nil {
+				t.Errorf("%s: %s was written", name, p)
+			}
+		}
+	}
 }
 
 func readResponseLines(t *testing.T, path string) []string {
